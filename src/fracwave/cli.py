@@ -91,7 +91,15 @@ class _SnapshotWriter:
         self.energy.append(fbbm_energy(u, self._model))
 
 
-def _drift(series):
+# A mass below this fraction of L * max|u0| is round-off (a zero-mean
+# run), far above the few-eps error of the computed mean and far below any
+# mean set on purpose; a drift relative to it would be noise.
+_MASS_ROUNDOFF = 1e-12
+
+
+def _drift(series, floor=0.0):
+    """Initial, final and drift of a conserved series.  ``drift_rel`` is
+    null when the initial value is within ``floor`` of zero."""
     if len(series) < 2:
         return {"initial": series[0] if series else None, "final": None,
                 "drift_abs": None, "drift_rel": None}
@@ -101,7 +109,7 @@ def _drift(series):
         "initial": q0,
         "final": qt,
         "drift_abs": abs_d,
-        "drift_rel": abs_d / (abs(q0) if abs(q0) > 0 else 1.0),
+        "drift_rel": abs_d / abs(q0) if abs(q0) > floor else None,
     }
 
 
@@ -127,6 +135,8 @@ def _execute_run(run_cfg: RunConfig, out_dir: str, start_state=None) -> int:
         except ParameterError:
             phase_speed = None
 
+    first = sink.fields[0]  # integrate always hands the sink its first state
+    mass_floor = _MASS_ROUNDOFF * first.grid.length * float(np.abs(first.values).max())
     manifest = {
         "code_version": __version__,
         "config": run_cfg.raw,
@@ -142,7 +152,7 @@ def _execute_run(run_cfg: RunConfig, out_dir: str, start_state=None) -> int:
             "fbbm_energy": sink.energy,
         },
         "conserved_drift": {
-            "mass": _drift(sink.mass),
+            "mass": _drift(sink.mass, mass_floor),
             "momentum": _drift(sink.momentum),
             "fbbm_energy": _drift(sink.energy),
         },

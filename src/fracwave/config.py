@@ -222,7 +222,12 @@ def validate_config(cfg: dict, allow_low_nu: bool = False) -> RunConfig:
     try:
         solver = SolverConfig(
             t_end=_number(solver_sec, "t_end", "solver", required=True),
-            integrator=_string(solver_sec, "integrator", "solver", default="rk4"),
+            # fKdV's dispersive phase grows like |k|^(2 nu + 1): only the
+            # integrating factor keeps its auto dt advective
+            integrator=_string(
+                solver_sec, "integrator", "solver",
+                default="ifrk4" if model.kind is ModelKind.FKDV else "rk4",
+            ),
             dt=dt_raw if dt_raw == AUTO else _number(solver_sec, "dt", "solver"),
             cfl=_number(solver_sec, "cfl", "solver", default=0.5),
             snapshot_every=_number(solver_sec, "snapshot_every", "solver"),
@@ -340,11 +345,18 @@ def build_initial(spec: InitialSpec, grid: Grid) -> RealField:
 
 # -- snapshot CSV -------------------------------------------------------------
 
+_SNAPSHOT_BLOCK_ROWS = 4096
+
+
 def write_snapshot(path, u: RealField) -> None:
+    """Write ``x,u`` rows, formatted and written a bounded block at a time."""
+    x, values = u.grid.x, u.values
     with open(path, "w") as fh:
         fh.write("x,u\n")
-        for xj, uj in zip(u.grid.x, u.values):
-            fh.write(f"{xj:.17g},{uj:.17g}\n")
+        for start in range(0, len(values), _SNAPSHOT_BLOCK_ROWS):
+            stop = start + _SNAPSHOT_BLOCK_ROWS
+            rows = zip(x[start:stop].tolist(), values[start:stop].tolist())
+            fh.write("".join(["%.17g,%.17g\n" % row for row in rows]))
 
 
 def read_snapshot(path):

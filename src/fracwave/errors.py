@@ -10,8 +10,9 @@ class FracwaveError(Exception):
 class BlowUpError(FracwaveError):
     """A field contains non-finite values (NaN/Inf).
 
-    Carries the first offending index and, when raised inside a time
-    stepper, the simulation time and stage at which it was detected.
+    Carries the first offending index (a grid index, or a half-spectrum
+    index when raised by a step) and, when raised inside a time stepper,
+    the simulation time and stage at which it was detected.
     """
 
     def __init__(self, message, index=None, t=None, stage=None):

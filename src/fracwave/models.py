@@ -36,7 +36,13 @@ from .operators import (
     as_order,
     laplacian_symbol,
 )
-from .spectral import Grid, RealField, coeffs_of, values_of
+from .spectral import (
+    Grid,
+    RealField,
+    coeffs_of,
+    half_coeffs_of,
+    half_values_of,
+)
 
 
 class ModelKind(enum.Enum):
@@ -117,57 +123,92 @@ def make_params(kind, nu, coefficients=None, strict_nu: bool = True) -> ModelPar
 
 # -- right-hand sides ----------------------------------------------------
 
-def _rhs_values(u: np.ndarray, grid: Grid, p: ModelParams, dealias: bool) -> np.ndarray:
-    """Shared evaluator for the generalized coefficient form."""
-    c = p.coefficients
-    lap = laplacian_symbol(grid, p.nu.value)
-    keep = grid.dealias_keep if dealias else 1.0
-    u_hat = coeffs_of(u)
-    ux_hat = grid._ik * u_hat
-    bracket = c.c_adv * ux_hat + c.c_disp * lap * ux_hat
-    if c.c_nl != 0.0 or c.c_mix != 0.0:
-        ux = values_of(ux_hat)
-        uux_hat = keep * coeffs_of(u * ux)
-        bracket = bracket + c.c_nl * uux_hat
-        if c.c_mix != 0.0:
-            lux = values_of(lap * ux_hat)
-            ulux_hat = keep * coeffs_of(u * lux)
-            bracket = bracket + c.c_mix * (2.0 * lap * uux_hat + ulux_hat)
-    if c.c_evo != 0.0:
-        bracket = bracket / (1.0 + c.c_evo * lap)
-    return -values_of(bracket)
+class SpectralRHS:
+    """du/dt of the generalized form, on the half spectrum of one grid.
+
+    Spectra are ``rfft`` half spectra (indices 0..N/2) in the analysis
+    normalization.  Every symbol is built once here, so a call costs one
+    stacked inverse transform of [u, u_x, L u_x] and one stacked forward
+    transform of [u u_x, u L u_x]; the L u_x rows are dropped when
+    c_mix = 0 and both transforms when the model is linear.  The
+    ``linearized`` kind always evaluates with c_nl = c_mix = 0.
+
+    With ``linear=False`` the linear part, multiplier ``linear_symbol`` =
+    -ik (c_adv + c_disp L) / (1 + c_evo L), is left out of the result, for
+    a stepper that treats it exactly.
+    """
+
+    def __init__(self, grid: Grid, p: ModelParams, dealias: bool = True, linear: bool = True):
+        c = p.coefficients
+        c_nl, c_mix = c.c_nl, c.c_mix
+        if p.kind is ModelKind.LINEARIZED_FCH:
+            c_nl = c_mix = 0.0
+        half = grid.n_points // 2 + 1
+        self.n_points = grid.n_points
+        ik = grid._ik[:half]  # signed layout: the first half is the rfft layout
+        lap = laplacian_symbol(grid, p.nu.value)[:half]
+        inv_evo = 1.0 / (1.0 + c.c_evo * lap)
+        keep = grid.dealias_keep[:half] if dealias else 1.0
+        self.linear_symbol = -ik * (c.c_adv + c.c_disp * lap) * inv_evo
+        self._linear = self.linear_symbol if linear else None
+        # rows multiplied into u_hat before the inverse transform, and the
+        # weight of each product u * row_j (j >= 1) in du/dt
+        if c_mix != 0.0:
+            self._rows = np.stack([np.ones(half), ik, ik * lap])
+            self._weights = (
+                -(c_nl + 2.0 * c_mix * lap) * inv_evo * keep,
+                -c_mix * inv_evo * keep,
+            )
+        elif c_nl != 0.0:
+            self._rows = np.stack([np.ones(half), ik])
+            self._weights = (-c_nl * inv_evo * keep,)
+        else:
+            self._rows = None
+
+    def __call__(self, u_hat: np.ndarray) -> np.ndarray:
+        if self._rows is None:
+            if self._linear is None:
+                return np.zeros_like(u_hat)
+            return self._linear * u_hat
+        vals = half_values_of(self._rows * u_hat, self.n_points)
+        prods = half_coeffs_of(vals[0] * vals[1:])
+        out = self._weights[0] * prods[0]
+        if len(self._weights) > 1:
+            out += self._weights[1] * prods[1]
+        if self._linear is not None:
+            out += self._linear * u_hat
+        return out
+
+    def field(self, u: RealField) -> RealField:
+        """du/dt as a grid function."""
+        return RealField(u.grid, half_values_of(self(half_coeffs_of(u.values)), self.n_points))
 
 
 def rhs_fch(u: RealField, p: ModelParams, dealias: bool = True) -> RealField:
     """du/dt for the fractional Camassa-Holm equation."""
     if p.kind is not ModelKind.FCH:
         raise ParameterError(f"rhs_fch needs an FCH parameter set, got {p.kind}")
-    return RealField(u.grid, _rhs_values(u.values, u.grid, p, dealias))
+    return SpectralRHS(u.grid, p, dealias).field(u)
 
 
 def rhs_fkdv(u: RealField, p: ModelParams, dealias: bool = True) -> RealField:
     """du/dt for the fractional Korteweg-de Vries equation."""
     if p.kind is not ModelKind.FKDV:
         raise ParameterError(f"rhs_fkdv needs an FKDV parameter set, got {p.kind}")
-    return RealField(u.grid, _rhs_values(u.values, u.grid, p, dealias))
+    return SpectralRHS(u.grid, p, dealias).field(u)
 
 
 def rhs_fbbm(u: RealField, p: ModelParams, dealias: bool = True) -> RealField:
     """du/dt for the fractional Benjamin-Bona-Mahony equation."""
     if p.kind is not ModelKind.FBBM:
         raise ParameterError(f"rhs_fbbm needs an FBBM parameter set, got {p.kind}")
-    return RealField(u.grid, _rhs_values(u.values, u.grid, p, dealias))
+    return SpectralRHS(u.grid, p, dealias).field(u)
 
 
 def rhs_linearized(u: RealField, p: ModelParams, dealias: bool = True) -> RealField:
     """du/dt for the linearization shared by fCH/fBBM (c_nl = c_mix = 0)."""
-    c = p.coefficients
-    lin = ModelParams(
-        ModelKind.LINEARIZED_FCH,
-        p.nu,
-        Coefficients(c.c_adv, 0.0, c.c_disp, c.c_evo, 0.0),
-    )
-    return RealField(u.grid, _rhs_values(u.values, u.grid, lin, dealias))
+    lin = ModelParams(ModelKind.LINEARIZED_FCH, p.nu, p.coefficients)
+    return SpectralRHS(u.grid, lin, dealias).field(u)
 
 
 def rhs_quasilinear_normalized(u: RealField, nu) -> RealField:
@@ -181,18 +222,6 @@ def rhs_quasilinear_normalized(u: RealField, nu) -> RealField:
     return RealField(
         u.grid, -apply_A(u, u, nu).values + apply_f(u, nu).values
     )
-
-
-def make_rhs(p: ModelParams, dealias: bool = True):
-    """Bind a parameter set into a plain ``u -> du/dt`` callable."""
-    dispatch = {
-        ModelKind.FCH: rhs_fch,
-        ModelKind.FKDV: rhs_fkdv,
-        ModelKind.FBBM: rhs_fbbm,
-        ModelKind.LINEARIZED_FCH: rhs_linearized,
-    }
-    fn = dispatch[p.kind]
-    return lambda u: fn(u, p, dealias)
 
 
 # -- dispersion and conserved functionals --------------------------------

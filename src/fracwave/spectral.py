@@ -165,6 +165,18 @@ def values_of(coeffs: np.ndarray) -> np.ndarray:
     return (len(coeffs) * np.fft.ifft(coeffs)).real
 
 
+def half_coeffs_of(values: np.ndarray) -> np.ndarray:
+    """Coefficients of indices 0..N/2 (the ``rfft`` layout) along the last
+    axis; the rest follow by conjugate symmetry."""
+    return np.fft.rfft(values, norm="forward")
+
+
+def half_values_of(coeffs: np.ndarray, n_points: int) -> np.ndarray:
+    """Grid values from a half spectrum along the last axis.  The imaginary
+    parts of the mean and Nyquist coefficients are ignored."""
+    return np.fft.irfft(coeffs, n_points, norm="forward")
+
+
 def symmetry_defect(coeffs: np.ndarray) -> float:
     """Max deviation from conjugate symmetry u_hat(-k) = conj(u_hat(k))."""
     n = len(coeffs)

@@ -1,11 +1,19 @@
 """Time integration, wave-breaking detection, and checkpointing.
 
-Two integrators are provided.  Classical RK4 suits fCH and fBBM, whose
-linearized phase speed stays bounded as k grows (it tends to
-c_disp/c_evo), so the stiffness is only advective.  fKdV has no
+Every run steps through one ``StepPlan``, built once per (grid, model,
+dt, integrator, dealias).  The plan holds the half-spectrum symbols of
+the model (``models.SpectralRHS``) and the integrating-factor
+exponentials; the state stays a dealiased half spectrum for the whole run,
+and grid values are synthesized only for the snapshot sink, a breaking
+report and the returned state.
+
+Two integrators share the plan's one step function.  Classical RK4 suits
+fCH and fBBM, whose linearized phase speed stays bounded as k grows (it
+tends to c_disp/c_evo), so the stiffness is only advective.  fKdV has no
 evolution-side smoothing and its dispersive phase grows like
 |k|^(2 nu + 1); the integrating-factor RK4 removes that linear part
-exactly and steps only the nonlinearity.
+exactly and steps only the nonlinearity.  RK4 is that scheme with an
+empty linear part.
 
 Breaking detection is deliberately conjunctive: a steep slope alone can
 be an under-resolved (aliased) front, so the detector also requires a
@@ -15,21 +23,16 @@ visible spectral tail before it reports physical wave breaking.
 from __future__ import annotations
 
 import enum
+import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import BlowUpError, CheckpointError, ParameterError
-from .models import (
-    ModelKind,
-    ModelParams,
-    dispersion_speed,
-    make_rhs,
-)
-from .operators import laplacian_symbol
-from .spectral import Grid, RealField, coeffs_of, values_of
+from .models import ModelKind, ModelParams, SpectralRHS, dispersion_speed
+from .spectral import Grid, RealField, coeffs_of, half_coeffs_of, half_values_of
 
 AUTO = "auto"
 
@@ -61,7 +64,14 @@ class SolverConfig:
     def __post_init__(self):
         if isinstance(self.integrator, str):
             self.integrator = Integrator.from_string(self.integrator)
-        if not (np.isfinite(self.t_end) and self.t_end >= 0):
+        # a NaN threshold would compare False everywhere and silently
+        # disable its check, so non-finite numbers are refused outright
+        for key in ("t_end", "dt", "cfl", "snapshot_every",
+                    "breaking_slope_threshold", "tail_fraction_threshold"):
+            value = getattr(self, key)
+            if isinstance(value, (int, float)) and not np.isfinite(value):
+                raise ParameterError(f"{key} must be finite, got {value}")
+        if not self.t_end >= 0:
             raise ParameterError(f"t_end must be >= 0, got {self.t_end}")
         if self.dt != AUTO:
             self.dt = float(self.dt)
@@ -83,10 +93,14 @@ class SolverConfig:
 
 @dataclass
 class SimulationState:
+    """A point of a trajectory.  ``u_hat`` is the half spectrum that was
+    stepped (see ``StepPlan``), when known; ``u`` holds its grid values."""
+
     t: float
     u: RealField
     step_count: int = 0
     min_slope_history: list = field(default_factory=list)
+    u_hat: np.ndarray | None = None
 
 
 @dataclass
@@ -123,90 +137,67 @@ class SimulationResult:
     blowup_stage: int | None = None
 
 
-# -- single steps ---------------------------------------------------------
+# -- the step plan ---------------------------------------------------------
 
-def _stage_values(arr: np.ndarray, t: float, stage: int) -> np.ndarray:
-    bad = np.isfinite(arr)
-    if not bad.all():
-        raise BlowUpError(
-            f"non-finite value in stage {stage} at t={t:.6g}",
-            index=int(np.argmin(bad)),
-            t=t,
-            stage=stage,
-        )
+def _checked(arr: np.ndarray, t: float, stage: int) -> np.ndarray:
+    # one reduction per stage; the indexed scan runs only when it trips
+    # (a finite array whose sum or its modulus overflows passes the scan)
+    if not math.isfinite(abs(arr.sum())):
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise BlowUpError(
+                f"non-finite value in stage {stage} at t={t:.6g}",
+                index=int(np.argmin(finite)),
+                t=t,
+                stage=stage,
+            )
     return arr
 
 
-def rk4_step(state: SimulationState, rhs, dt: float) -> SimulationState:
-    """One classical Runge-Kutta step of du/dt = rhs(u)."""
-    if dt <= 0:
-        raise ParameterError(f"dt must be positive, got {dt}")
-    grid = state.u.grid
-    u = state.u.values
-    t = state.t
+class StepPlan:
+    """Everything one run's steps need, built once per (grid, model, dt,
+    integrator, dealias).
 
-    def eval_rhs(vals, stage):
-        try:
-            out = rhs(RealField(grid, _stage_values(vals, t, stage)))
-        except BlowUpError as err:
-            raise BlowUpError(str(err), index=err.index, t=t, stage=stage) from None
-        return _stage_values(out.values, t, stage)
-
-    k1 = eval_rhs(u, 1)
-    k2 = eval_rhs(u + 0.5 * dt * k1, 2)
-    k3 = eval_rhs(u + 0.5 * dt * k2, 3)
-    k4 = eval_rhs(u + dt * k3, 4)
-    new_u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    _stage_values(new_u, t, 5)
-    return SimulationState(
-        t=t + dt,
-        u=RealField(grid, new_u),
-        step_count=state.step_count + 1,
-        min_slope_history=state.min_slope_history,
-    )
-
-
-def ifrk4_step(
-    state: SimulationState, model: ModelParams, dt: float, dealias: bool = True
-) -> SimulationState:
-    """Integrating-factor RK4 for fKdV.
-
-    The full linear multiplier -i k (c_adv + c_disp |k|^(2 nu)) is folded
-    into an exact exponential; RK4 sees only the -u u_x remainder.
+    The state is the half spectrum ``u_hat`` (see ``SpectralRHS``), kept
+    dealiased by construction when ``dealias`` is set.  One step is the
+    integrating-factor RK4 of Kassam & Trefethen (2005) for
+    u_hat_t = Lin u_hat + F(u_hat) with the factors exp(dt/2 Lin) and
+    exp(dt Lin) precomputed.  IFRK4 puts the fKdV linear symbol in Lin;
+    classical RK4 is the same scheme with Lin empty (both factors 1).
     """
-    if model.kind is not ModelKind.FKDV:
-        raise ParameterError("ifrk4_step treats the fKdV linear symbol; use rk4 otherwise")
-    if dt <= 0:
-        raise ParameterError(f"dt must be positive, got {dt}")
-    grid = state.u.grid
-    c = model.coefficients
-    t = state.t
 
-    lin = -grid._ik * (c.c_adv + c.c_disp * laplacian_symbol(grid, model.nu.value))
-    e_half = np.exp(0.5 * dt * lin)
-    e_full = e_half * e_half
-    keep = grid.dealias_keep if dealias else 1.0
+    def __init__(
+        self,
+        grid: Grid,
+        model: ModelParams,
+        dt: float,
+        integrator: Integrator = Integrator.RK4,
+        dealias: bool = True,
+    ):
+        if not (np.isfinite(dt) and dt > 0):
+            raise ParameterError(f"dt must be positive, got {dt}")
+        exact_linear = integrator is Integrator.IFRK4
+        if exact_linear and model.kind is not ModelKind.FKDV:
+            raise ParameterError("IFRK4 treats the fKdV linear symbol; use rk4 otherwise")
+        self.dt = dt
+        self.rhs = SpectralRHS(grid, model, dealias, linear=not exact_linear)
+        if exact_linear:
+            self.e_half = np.exp(0.5 * dt * self.rhs.linear_symbol)
+            self.e_full = self.e_half * self.e_half
+        else:
+            self.e_half = self.e_full = 1.0
 
-    def nonlinear(u_hat, stage):
-        u = values_of(_stage_values(u_hat, t, stage))
-        ux = values_of(grid._ik * u_hat)
-        return -c.c_nl * keep * coeffs_of(u * ux)
-
-    u_hat = coeffs_of(state.u.values)
-    k1 = nonlinear(u_hat, 1)
-    k2 = nonlinear(e_half * (u_hat + 0.5 * dt * k1), 2)
-    k3 = nonlinear(e_half * u_hat + 0.5 * dt * k2, 3)
-    k4 = nonlinear(e_full * u_hat + dt * e_half * k3, 4)
-    new_hat = e_full * u_hat + (dt / 6.0) * (
-        e_full * k1 + 2.0 * e_half * (k2 + k3) + k4
-    )
-    new_u = values_of(_stage_values(new_hat, t, 5))
-    return SimulationState(
-        t=t + dt,
-        u=RealField(grid, new_u),
-        step_count=state.step_count + 1,
-        min_slope_history=state.min_slope_history,
-    )
+    def step(self, u_hat: np.ndarray, t: float) -> np.ndarray:
+        """u_hat one step of dt later.  Raises ``BlowUpError`` carrying t
+        and the stage (1-4, or 5 for the update) at the first non-finite
+        value."""
+        f, dt, e_half, e_full = self.rhs, self.dt, self.e_half, self.e_full
+        k1 = _checked(f(u_hat), t, 1)
+        k2 = _checked(f(e_half * (u_hat + 0.5 * dt * k1)), t, 2)
+        k3 = _checked(f(e_half * u_hat + 0.5 * dt * k2), t, 3)
+        k4 = _checked(f(e_full * u_hat + dt * e_half * k3), t, 4)
+        new = e_full * u_hat + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+        return _checked(new, t, 5)
 
 
 def auto_dt(
@@ -235,9 +226,10 @@ def auto_dt(
 
 # -- breaking detection ---------------------------------------------------
 
-def _slope_stats(u: RealField) -> tuple[float, float]:
-    grid = u.grid
-    ux = values_of(grid._ik * coeffs_of(u.values))
+def _slope_stats(grid: Grid, u_hat: np.ndarray) -> tuple[float, float]:
+    """min u_x and where it sits, from a half spectrum: the per-step
+    breaking check."""
+    ux = half_values_of(grid._ik[: grid.n_points // 2 + 1] * u_hat, grid.n_points)
     i = int(np.argmin(ux))
     return float(ux[i]), float(grid.x[i])
 
@@ -271,7 +263,7 @@ def _fit_breaking_time(history, threshold: float) -> float | None:
 def detect_breaking(state: SimulationState, config: SolverConfig) -> BreakingReport | None:
     """Report wave breaking when the slope threshold and the spectral-tail
     resolution guard are both exceeded; otherwise None."""
-    min_slope, location = _slope_stats(state.u)
+    min_slope, location = _slope_stats(state.u.grid, _spectrum_of(state))
     if min_slope > -config.breaking_slope_threshold:
         return None
     tail = _tail_fraction(state.u)
@@ -304,10 +296,19 @@ def resolve_dt(
         return 0.0, 0
     if config.dt == AUTO:
         estimate = auto_dt(u0, model, u0.grid, config.cfl, config.integrator)
-        n = max(1, int(np.ceil(span / estimate - 1e-12)))
+        n = _step_count(span / estimate - 1e-12)
         return span / n, n
-    n = max(1, int(np.ceil(span / config.dt - 1e-9)))
-    return config.dt, n
+    return config.dt, _step_count(span / config.dt - 1e-9)
+
+
+def _step_count(ratio: float) -> int:
+    if not np.isfinite(ratio):
+        raise ParameterError(f"t_end / dt = {ratio} is not a finite number of steps")
+    return max(1, int(np.ceil(ratio)))
+
+
+def _spectrum_of(state: SimulationState) -> np.ndarray:
+    return state.u_hat if state.u_hat is not None else half_coeffs_of(state.u.values)
 
 
 def integrate(
@@ -325,77 +326,96 @@ def integrate(
     says halt) or BLOWUP (non-finite value appeared; the state in the
     result is the last good one).
 
-    Pass ``start`` to resume from a checkpointed state; ``u0`` is ignored
-    then.  Resumed trajectories are bit-identical to uninterrupted ones
-    when dt is explicit, because every step performs the same float
-    operations in the same order.
+    Every step goes through one ``StepPlan``; grid values are synthesized
+    only for the sink, a breaking report and the returned state.  Pass
+    ``start`` to resume from a checkpointed state; ``u0`` is ignored then.
+    The start's stored spectrum is stepped as is, so a resumed trajectory
+    is bit-identical to an uninterrupted one when dt is explicit.
     """
     if config.integrator is Integrator.IFRK4 and model.kind is not ModelKind.FKDV:
         raise ParameterError("IFRK4 is only valid for fKdV")
 
     if start is None:
-        u_start = u0
+        grid = u0.grid
+        u_hat = half_coeffs_of(u0.values)
         if config.dealias:
             # keep the evolved band clean from the start
-            u_start = RealField(
-                u0.grid, values_of(u0.grid.dealias_keep * coeffs_of(u0.values))
-            )
-        state = SimulationState(t=0.0, u=u_start, step_count=0, min_slope_history=[])
+            u_hat = grid.dealias_keep[: grid.n_points // 2 + 1] * u_hat
+        state = SimulationState(
+            t=0.0,
+            u=RealField(grid, half_values_of(u_hat, grid.n_points)),
+            step_count=0,
+            min_slope_history=[],
+            u_hat=u_hat,
+        )
     else:
-        state = start
+        grid = start.u.grid
+        u_hat = _spectrum_of(start)
+        state = replace(start, u_hat=u_hat)
 
     span = config.t_end - state.t
     dt, n_steps = resolve_dt(state.u, model, config, span)
+    plan = StepPlan(grid, model, dt, config.integrator, config.dealias) if n_steps else None
 
     if config.snapshot_every is not None and dt > 0:
         stride = max(1, int(round(config.snapshot_every / dt)))
     else:
         stride = None
 
-    rhs = make_rhs(model, config.dealias) if config.integrator is Integrator.RK4 else None
-
     history = state.min_slope_history
-    slope, _ = _slope_stats(state.u)
+    slope, _ = _slope_stats(grid, u_hat)
     if not history or history[-1][0] < state.t:
         history.append((state.t, slope))
 
     if sink is not None:
         sink(state.t, state.u)
 
+    t, step_count = state.t, state.step_count
+
+    def current() -> SimulationState:
+        nonlocal state
+        if state.u_hat is not u_hat:
+            state = SimulationState(
+                t=t,
+                u=RealField(grid, half_values_of(u_hat, grid.n_points)),
+                step_count=step_count,
+                min_slope_history=history,
+                u_hat=u_hat,
+            )
+        return state
+
     breaking: BreakingReport | None = None
     for i in range(n_steps):
         try:
-            if config.integrator is Integrator.RK4:
-                state = rk4_step(state, rhs, dt)
-            else:
-                state = ifrk4_step(state, model, dt, config.dealias)
+            new_hat = plan.step(u_hat, t)
         except BlowUpError as err:
             return SimulationResult(
-                state=state,
+                state=current(),
                 outcome=Outcome.BLOWUP,
                 dt=dt,
                 breaking=breaking,
-                blowup_time=err.t if err.t is not None else state.t,
+                blowup_time=err.t,
                 blowup_stage=err.stage,
             )
-        slope, _ = _slope_stats(state.u)
-        history.append((state.t, slope))
+        u_hat, t, step_count = new_hat, t + dt, step_count + 1
+        slope, _ = _slope_stats(grid, u_hat)
+        history.append((t, slope))
         report = None
         if slope <= -config.breaking_slope_threshold:
-            report = detect_breaking(state, config)
+            report = detect_breaking(current(), config)
         if report is not None and breaking is None:
             breaking = report
             if config.on_breaking == "halt":
                 if sink is not None:
-                    sink(state.t, state.u)
+                    sink(t, current().u)
                 return SimulationResult(
-                    state=state, outcome=Outcome.BREAKING, dt=dt, breaking=breaking
+                    state=current(), outcome=Outcome.BREAKING, dt=dt, breaking=breaking
                 )
         if sink is not None and (
             (stride is not None and (i + 1) % stride == 0) or i == n_steps - 1
         ):
-            sink(state.t, state.u)
-    return SimulationResult(state=state, outcome=Outcome.COMPLETED, dt=dt, breaking=breaking)
+            sink(t, current().u)
+    return SimulationResult(state=current(), outcome=Outcome.COMPLETED, dt=dt, breaking=breaking)
 
 
 # -- checkpointing --------------------------------------------------------
@@ -403,10 +423,14 @@ def integrate(
 # Fixed binary layout, little-endian throughout:
 #   magic "FWCK" | version u32 | N u32 | pad u32 | L f64 | t f64
 #   | step_count u64 | n_history u64 | history (t, min_slope) f64 pairs
-#   | u values N x f64 | crc32 u32 of everything before it
+#   | u values N x f64 | u_hat (N/2 + 1) x c128 | crc32 u32 of everything
+#   before it
+#
+# Version 2 added u_hat, the stepped half spectrum: resuming from it keeps
+# the trajectory bit-identical.  Version 1 files are refused.
 
 _MAGIC = b"FWCK"
-_VERSION = 1
+_VERSION = 2
 _HEADER = struct.Struct("<4sIIIddQQ")
 
 
@@ -425,6 +449,7 @@ def checkpoint_write(state: SimulationState, path) -> None:
     )
     payload += hist.astype("<f8").tobytes()
     payload += state.u.values.astype("<f8").tobytes()
+    payload += _spectrum_of(state).astype("<c16").tobytes()
     payload += struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
     with open(path, "wb") as fh:
         fh.write(payload)
@@ -445,7 +470,8 @@ def checkpoint_read(path) -> SimulationState:
         raise CheckpointError(
             f"checkpoint {path} has format version {version}, expected {_VERSION}"
         )
-    expected = _HEADER.size + 8 * (2 * n_hist + n)
+    half = n // 2 + 1
+    expected = _HEADER.size + 8 * (2 * n_hist + n) + 16 * half
     if len(body) != expected:
         raise CheckpointError(
             f"checkpoint {path} has {len(body)} payload bytes, expected {expected}"
@@ -454,6 +480,8 @@ def checkpoint_read(path) -> SimulationState:
     hist = np.frombuffer(body, dtype="<f8", count=2 * n_hist, offset=offset)
     offset += 16 * n_hist
     values = np.frombuffer(body, dtype="<f8", count=n, offset=offset)
+    offset += 8 * n
+    u_hat = np.frombuffer(body, dtype="<c16", count=half, offset=offset).astype(np.complex128)
     grid = Grid(length=length, n_points=n)
     history = [(float(a), float(b)) for a, b in hist.reshape(-1, 2)]
     return SimulationState(
@@ -461,4 +489,5 @@ def checkpoint_read(path) -> SimulationState:
         u=RealField(grid, values),
         step_count=step_count,
         min_slope_history=history,
+        u_hat=u_hat,
     )

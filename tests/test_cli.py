@@ -65,6 +65,45 @@ class TestRun:
         assert main(["run", "--config", cfg_path]) == 1
         assert "dtt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override",
+        ["solver.snapshot_every=NaN", "solver.breaking_slope_threshold=NaN",
+         "solver.snapshot_every=Infinity"],
+    )
+    def test_nonfinite_solver_number_exit_1(self, tmp_path, capsys, override):
+        cfg_path = write_config(tmp_path / "c.json", base_config(tmp_path / "out"))
+        assert main(["run", "--config", cfg_path, "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_step_count_overflow_exit_1(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "c.json", base_config(tmp_path / "out"))
+        args = ["run", "--config", cfg_path, "--set", "solver.t_end=1e300",
+                "--set", "solver.dt=1e-300"]
+        assert main(args) == 1
+        assert "finite number of steps" in capsys.readouterr().err
+
+    def test_mass_drift_rel_null_for_zero_mean(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = base_config(out, initial={"kind": "mode", "k": 1, "amplitude": 0.3})
+        cfg["solver"]["t_end"] = 0.5
+        assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        drift = load_manifest(out)["conserved_drift"]
+        assert drift["mass"]["drift_abs"] < 1e-14
+        assert drift["mass"]["drift_rel"] is None
+        assert drift["momentum"]["drift_rel"] is not None
+
+    def test_mass_drift_rel_with_mean(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = base_config(out, initial={"kind": "gaussian", "amplitude": 0.3, "width": 0.5})
+        cfg["solver"]["t_end"] = 0.5
+        assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        mass = load_manifest(out)["conserved_drift"]["mass"]
+        assert mass["drift_rel"] == pytest.approx(mass["drift_abs"] / abs(mass["initial"]))
+        assert mass["drift_rel"] < 1e-13
+
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.json")]) == 1
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracwave import ConfigError, ModelKind, RealField
+from fracwave import ConfigError, Integrator, ModelKind, RealField
 from fracwave.config import (
     apply_overrides,
     build_initial,
@@ -10,6 +10,7 @@ from fracwave.config import (
     validate_config,
     write_snapshot,
 )
+from fracwave.timestepper import resolve_dt
 from conftest import TWO_PI, make_grid, smooth_field
 
 
@@ -104,6 +105,26 @@ class TestValidateConfig:
         assert cfg.output.directory == "runs/a"
         assert cfg.output.manifest is False
 
+    def test_integrator_default_per_model(self):
+        assert validate_config(minimal_config()).solver.integrator is Integrator.RK4
+        raw = minimal_config()
+        raw["model"]["kind"] = "fkdv"
+        raw["initial"] = {"kind": "mode", "k": 1, "amplitude": 0.2}
+        cfg = validate_config(raw)
+        assert cfg.solver.integrator is Integrator.IFRK4
+        # the auto dt is advective, cfl * dx / max(c_adv, max|u|) snapped
+        # down onto t_end, not the |k|^3 dispersive bound an RK4 step needs
+        u0 = build_initial(cfg.initial, cfg.grid)
+        dt, _ = resolve_dt(u0, cfg.model, cfg.solver, cfg.solver.t_end)
+        advective = 0.5 * cfg.grid.spacing
+        assert 0.9 * advective < dt <= advective
+
+    @pytest.mark.parametrize("key", ["snapshot_every", "breaking_slope_threshold", "cfl"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_solver_number(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            validate_config(minimal_config(**{key: value}))
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "none.json")
@@ -195,6 +216,19 @@ class TestSnapshotIO:
         path.write_text("x,u\n1,2,3\n")
         with pytest.raises(ConfigError):
             read_snapshot(path)
+
+    @pytest.mark.parametrize("n", [16, 4096, 2 * 4096 + 10])
+    def test_bytes_match_per_line_format(self, tmp_path, rng, n):
+        g = make_grid(n)
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+        values[:4] = [0.0, -0.0, 1e-300, -123456789.125]
+        u = RealField(g, values)
+        expected = "x,u\n" + "".join(
+            f"{xj:.17g},{uj:.17g}\n" for xj, uj in zip(u.grid.x, u.values)
+        )
+        path = tmp_path / "s.csv"
+        write_snapshot(path, u)
+        assert path.read_bytes() == expected.encode()
 
     def test_bit_exact_roundtrip(self, tmp_path, rng):
         g = make_grid(128)

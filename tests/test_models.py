@@ -24,6 +24,13 @@ from fracwave.operators import lambda_symbol, laplacian_symbol, masked_product
 from fracwave.spectral import coeffs_of, values_of
 from conftest import make_grid, smooth_field
 
+RHS_OF_KIND = {
+    "fch": rhs_fch,
+    "fkdv": rhs_fkdv,
+    "fbbm": rhs_fbbm,
+    "linearized": rhs_linearized,
+}
+
 
 class TestModelParams:
     def test_defaults(self):
@@ -69,9 +76,7 @@ class TestEquilibria:
         g = make_grid(32)
         p = make_params(kind, 1.5)
         u = RealField(g, np.full(32, value))
-        from fracwave import make_rhs
-
-        out = make_rhs(p)(u)
+        out = RHS_OF_KIND[kind](u, p)
         assert sobolev_norm(out, 0.0) <= 1e-13
 
 
@@ -117,9 +122,7 @@ class TestLinearRegime:
         p = make_params(kind, nu)
         eps = 1e-6
         u = RealField(g, eps * np.sin(k * g.x))
-        from fracwave import make_rhs
-
-        out = make_rhs(p)(u)
+        out = RHS_OF_KIND[kind](u, p)
         c = dispersion_speed(float(k), p)
         expected = -c * derivative(u).values
         assert np.abs(out.values - expected).max() < 100 * eps**2

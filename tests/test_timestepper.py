@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracwave import (
     AUTO,
@@ -12,18 +17,23 @@ from fracwave import (
     RealField,
     SimulationState,
     SolverConfig,
+    StepPlan,
     auto_dt,
     checkpoint_read,
     checkpoint_write,
+    dealias,
     derivative,
     detect_breaking,
     dispersion_speed,
-    ifrk4_step,
+    forward_transform,
+    fractional_laplacian,
+    helmholtz_inverse,
     integrate,
+    inverse_transform,
     make_params,
-    rk4_step,
 )
-from fracwave.spectral import coeffs_of
+from fracwave.operators import laplacian_symbol, masked_product
+from fracwave.spectral import coeffs_of, half_coeffs_of, half_values_of, values_of
 from conftest import TWO_PI, make_grid, smooth_field
 
 
@@ -48,72 +58,82 @@ class TestSolverConfig:
         cfg = SolverConfig(t_end=1.0, integrator="ifrk4")
         assert cfg.integrator is Integrator.IFRK4
 
+    @pytest.mark.parametrize(
+        "key",
+        ["t_end", "dt", "cfl", "snapshot_every", "breaking_slope_threshold",
+         "tail_fraction_threshold"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_numbers_rejected(self, key, value):
+        kwargs = {"t_end": 1.0, key: value}
+        with pytest.raises(ParameterError, match=key):
+            SolverConfig(**kwargs)
+
 
 class TestRK4Step:
     def test_zero_rhs(self):
         g = make_grid(16)
-        u = RealField(g, np.sin(g.x))
-        state = SimulationState(t=0.5, u=u)
-        out = rk4_step(state, lambda v: RealField.zeros(g), 0.25)
-        assert out.t == 0.75
-        assert out.step_count == 1
-        assert np.array_equal(out.u.values, u.values)
+        zero = make_params("linearized", 1.0, Coefficients(c_adv=0.0, c_nl=0.0))
+        u_hat = half_coeffs_of(np.sin(g.x))
+        start = SimulationState(
+            t=0.5, u=RealField(g, half_values_of(u_hat, 16)), u_hat=u_hat
+        )
+        res = integrate(None, zero, SolverConfig(t_end=0.75, dt=0.25), start=start)
+        assert res.state.t == 0.75
+        assert res.state.step_count == 1
+        assert np.array_equal(res.state.u_hat, u_hat)
+        assert np.array_equal(res.state.u.values, start.u.values)
 
     def test_linear_advection_one_period(self):
         g = make_grid(32)
         u0 = np.sin(g.x)
-        state = SimulationState(t=0.0, u=RealField(g, u0))
-        rhs = lambda v: RealField(g, -derivative(v).values)
         dt = TWO_PI / 1000
-        for _ in range(1000):
-            state = rk4_step(state, rhs, dt)
-        assert np.abs(state.u.values - u0).max() < 1e-8
+        plan = StepPlan(g, advection_params(), dt)
+        u_hat = half_coeffs_of(u0)
+        for i in range(1000):
+            u_hat = plan.step(u_hat, i * dt)
+        assert np.abs(half_values_of(u_hat, 32) - u0).max() < 1e-8
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_carries_stage_and_time(self):
         g = make_grid(16)
-        state = SimulationState(t=1.25, u=RealField(g, np.ones(16)))
-
-        def exploding(v):
-            return RealField(g, v.values * 1e308)  # second stage overflows
-
+        fast = make_params("linearized", 1.0, Coefficients(c_adv=1e200, c_nl=0.0))
+        plan = StepPlan(g, fast, 1e200)  # the second stage's input overflows
         with pytest.raises(BlowUpError) as err:
-            rk4_step(state, exploding, 1.0)
+            plan.step(half_coeffs_of(np.sin(g.x)), 1.25)
         assert err.value.t == 1.25
-        assert err.value.stage is not None
+        assert err.value.stage == 2
 
     def test_bad_dt(self):
-        g = make_grid(16)
-        state = SimulationState(t=0.0, u=RealField.zeros(g))
-        with pytest.raises(ParameterError):
-            rk4_step(state, lambda v: v, 0.0)
+        for dt in (0.0, -0.1, float("nan")):
+            with pytest.raises(ParameterError):
+                StepPlan(make_grid(16), make_params("fch", 1.0), dt)
 
 
 class TestIFRK4Step:
     def test_requires_fkdv(self):
-        g = make_grid(16)
-        state = SimulationState(t=0.0, u=RealField.zeros(g))
         with pytest.raises(ParameterError):
-            ifrk4_step(state, make_params("fch", 1.0), 0.1)
+            StepPlan(make_grid(16), make_params("fch", 1.0), 0.1, Integrator.IFRK4)
 
     def test_zero_field_stays_zero(self):
         g = make_grid(32)
-        state = SimulationState(t=0.0, u=RealField.zeros(g))
-        out = ifrk4_step(state, make_params("fkdv", 1.0), 0.1)
-        assert np.all(out.u.values == 0.0)
+        plan = StepPlan(g, make_params("fkdv", 1.0), 0.1, Integrator.IFRK4)
+        out = plan.step(half_coeffs_of(np.zeros(32)), 0.0)
+        assert np.all(out == 0.0)
 
     def test_exact_on_linear_flow(self):
         # zero nonlinearity: the integrating factor alone is the solution
         g = make_grid(64)
         p = make_params("fkdv", 1.0, Coefficients(c_nl=0.0, c_disp=-0.5))
         k = 3
-        state = SimulationState(t=0.0, u=RealField(g, np.sin(k * g.x)))
         dt = 0.5  # huge step; exactness does not depend on dt
-        for _ in range(4):
-            state = ifrk4_step(state, p, dt)
+        plan = StepPlan(g, p, dt, Integrator.IFRK4)
+        u_hat = half_coeffs_of(np.sin(k * g.x))
+        for i in range(4):
+            u_hat = plan.step(u_hat, i * dt)
         c = dispersion_speed(float(k), p)
-        expected = np.sin(k * (g.x - c * state.t))
-        assert np.abs(state.u.values - expected).max() < 1e-12
+        expected = np.sin(k * (g.x - c * 4 * dt))
+        assert np.abs(half_values_of(u_hat, 64) - expected).max() < 1e-12
 
     def test_small_mode_phase_speed(self):
         g = make_grid(64)
@@ -126,6 +146,74 @@ class TestIFRK4Step:
         phase = np.angle(coeff / (-0.5j * eps))
         measured_c = -phase / res.state.t
         assert measured_c == pytest.approx(0.5, abs=1e-9)
+
+
+def field_rhs(u: RealField, p) -> RealField:
+    """The generalized form written with the field-level operators."""
+    c = p.coefficients
+    g, nu = u.grid, p.nu.value
+    ux = derivative(u)
+    lux = fractional_laplacian(ux, nu)
+    uux = RealField(g, masked_product(g, u.values, ux.values))
+    bracket = c.c_adv * ux.values + c.c_disp * lux.values + c.c_nl * uux.values
+    if c.c_mix != 0.0:
+        bracket = bracket + c.c_mix * (
+            2.0 * fractional_laplacian(uux, nu).values
+            + masked_product(g, u.values, lux.values)
+        )
+    out = RealField(g, -bracket)
+    return helmholtz_inverse(out, c.c_evo, nu) if c.c_evo != 0.0 else out
+
+
+def field_rk4(field: RealField, p, dt):
+    def f(v):
+        return field_rhs(RealField(field.grid, v), p).values
+
+    u = field.values
+    k1 = f(u)
+    k2 = f(u + 0.5 * dt * k1)
+    k3 = f(u + 0.5 * dt * k2)
+    k4 = f(u + dt * k3)
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def field_ifrk4(u: RealField, p, dt):
+    """fKdV integrating-factor RK4 on the full spectrum."""
+    g, c = u.grid, p.coefficients
+    lin = -g._ik * (c.c_adv + c.c_disp * laplacian_symbol(g, p.nu.value))
+    e_half = np.exp(0.5 * dt * lin)
+    e_full = e_half * e_half
+
+    def f(u_hat):
+        v = RealField(g, values_of(u_hat))
+        return -c.c_nl * coeffs_of(masked_product(g, v.values, derivative(v).values))
+
+    u_hat = coeffs_of(u.values)
+    k1 = f(u_hat)
+    k2 = f(e_half * (u_hat + 0.5 * dt * k1))
+    k3 = f(e_half * u_hat + 0.5 * dt * k2)
+    k4 = f(e_full * u_hat + dt * e_half * k3)
+    new = e_full * u_hat + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+    return values_of(new)
+
+
+class TestStepPlan:
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize(
+        "kind,integrator,dt",
+        [("fch", Integrator.RK4, 1e-3), ("fbbm", Integrator.RK4, 1e-3),
+         ("fkdv", Integrator.IFRK4, 1e-2), ("fkdv", Integrator.RK4, 1e-7)],
+    )
+    def test_matches_field_level_formulas(self, kind, integrator, dt, n, rng):
+        g = make_grid(n)
+        p = make_params(kind, 1.0)
+        u0 = inverse_transform(dealias(forward_transform(
+            smooth_field(g, rng, band=n // 8, amplitude=0.5))))
+        reference = field_rk4 if integrator is Integrator.RK4 else field_ifrk4
+        expected = reference(u0, p, dt)
+        plan = StepPlan(g, p, dt, integrator)
+        got = half_values_of(plan.step(half_coeffs_of(u0.values), 0.0), n)
+        assert np.abs(got - expected).max() < 1e-13
 
 
 class TestAutoDt:
@@ -317,6 +405,39 @@ class TestCheckpoint:
         assert back.min_slope_history == state.min_slope_history
         assert back.u.grid == g
 
+    def test_stores_stepped_spectrum(self, tmp_path):
+        g = make_grid(32)
+        res = integrate(RealField(g, 0.3 * np.sin(g.x)), make_params("fch", 1.0),
+                        SolverConfig(t_end=0.1, dt=0.01))
+        path = tmp_path / "state.fwck"
+        checkpoint_write(res.state, path)
+        back = checkpoint_read(path)
+        assert back.u_hat.dtype == np.complex128 and back.u_hat.shape == (17,)
+        assert np.array_equal(back.u_hat, res.state.u_hat)
+        assert np.array_equal(back.u.values, res.state.u.values)
+
+    def test_state_without_spectrum_stores_rfft(self, tmp_path, rng):
+        g = make_grid(32)
+        u = smooth_field(g, rng)
+        path = tmp_path / "state.fwck"
+        checkpoint_write(SimulationState(t=0.0, u=u), path)
+        assert np.array_equal(checkpoint_read(path).u_hat, np.fft.rfft(u.values) / 32)
+
+    def test_version_1_refused(self, tmp_path, rng):
+        import struct
+        import zlib
+
+        # a version-1 file: the same header, no spectrum after the values
+        g = make_grid(32)
+        path = tmp_path / "state.fwck"
+        checkpoint_write(SimulationState(t=0.0, u=smooth_field(g, rng)), path)
+        blob = bytearray(path.read_bytes())[: -4 - 16 * 17]
+        blob[4:8] = struct.pack("<I", 1)
+        blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="version 1, expected 2"):
+            checkpoint_read(path)
+
     def test_truncated(self, tmp_path, rng):
         g = make_grid(32)
         state = SimulationState(t=0.0, u=smooth_field(g, rng))
@@ -380,3 +501,41 @@ class TestResume:
         assert resumed.state.step_count == straight.state.step_count
         assert np.array_equal(resumed.state.u.values, straight.state.u.values)
         assert resumed.state.min_slope_history == straight.state.min_slope_history
+
+
+_SPLIT_STEPS = 12
+_SPLIT_DT = 1.0 / 64
+_SPLIT_CASES = {"fch": Integrator.RK4, "fkdv": Integrator.IFRK4}
+
+
+def _split_run(kind, amplitude, steps, start=None, sink=None):
+    g = make_grid(32)
+    cfg = SolverConfig(t_end=steps * _SPLIT_DT, dt=_SPLIT_DT, snapshot_every=_SPLIT_DT,
+                       integrator=_SPLIT_CASES[kind])
+    u0 = RealField(g, amplitude * np.sin(g.x) + 0.5 * amplitude * np.cos(3 * g.x))
+    return integrate(u0, make_params(kind, 1.0), cfg, sink=sink, start=start)
+
+
+class TestResumeProperty:
+    @pytest.mark.parametrize("kind", sorted(_SPLIT_CASES))
+    @settings(max_examples=15, deadline=None)
+    @given(split=st.integers(0, _SPLIT_STEPS), amplitude=st.floats(0.05, 0.5))
+    def test_split_at_any_step_equals_straight(self, kind, split, amplitude):
+        straight_snaps, resumed_snaps = {}, {}
+        straight = _split_run(kind, amplitude, _SPLIT_STEPS,
+                              sink=lambda t, u: straight_snaps.setdefault(t, u.values.tobytes()))
+        first = _split_run(kind, amplitude, split)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "split.fwck")
+            checkpoint_write(first.state, path)
+            start = checkpoint_read(path)
+        resumed = _split_run(kind, amplitude, _SPLIT_STEPS, start=start,
+                             sink=lambda t, u: resumed_snaps.setdefault(t, u.values.tobytes()))
+        assert resumed.state.t == straight.state.t
+        assert resumed.state.step_count == straight.state.step_count == _SPLIT_STEPS
+        assert resumed.state.u.values.tobytes() == straight.state.u.values.tobytes()
+        assert resumed.state.u_hat.tobytes() == straight.state.u_hat.tobytes()
+        assert resumed.state.min_slope_history == straight.state.min_slope_history
+        assert len(resumed_snaps) == _SPLIT_STEPS - split + 1
+        for t, snap in resumed_snaps.items():
+            assert snap == straight_snaps[t]
