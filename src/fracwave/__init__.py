@@ -45,11 +45,11 @@ from .models import (
     Coefficients,
     ModelKind,
     ModelParams,
-    SpectralRHS,
     default_coefficients,
     dispersion_speed,
     fbbm_energy,
     make_params,
+    make_rhs,
     mass,
     momentum,
     rhs_fbbm,
@@ -71,7 +71,9 @@ from .timestepper import (
     checkpoint_read,
     checkpoint_write,
     detect_breaking,
+    ifrk4_step,
     integrate,
+    rk4_step,
 )
 from .diagnostics import (
     DependenceReport,

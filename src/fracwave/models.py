@@ -184,31 +184,37 @@ class SpectralRHS:
         return RealField(u.grid, half_values_of(self(half_coeffs_of(u.values)), self.n_points))
 
 
+def make_rhs(grid: Grid, p: ModelParams, dealias: bool = True, linear: bool = True) -> SpectralRHS:
+    """Bind a parameter set and a grid into the half-spectrum evaluator
+    ``u_hat -> du/dt``; ``linear=False`` leaves the linear part out."""
+    return SpectralRHS(grid, p, dealias, linear)
+
+
 def rhs_fch(u: RealField, p: ModelParams, dealias: bool = True) -> RealField:
     """du/dt for the fractional Camassa-Holm equation."""
     if p.kind is not ModelKind.FCH:
         raise ParameterError(f"rhs_fch needs an FCH parameter set, got {p.kind}")
-    return SpectralRHS(u.grid, p, dealias).field(u)
+    return make_rhs(u.grid, p, dealias).field(u)
 
 
 def rhs_fkdv(u: RealField, p: ModelParams, dealias: bool = True) -> RealField:
     """du/dt for the fractional Korteweg-de Vries equation."""
     if p.kind is not ModelKind.FKDV:
         raise ParameterError(f"rhs_fkdv needs an FKDV parameter set, got {p.kind}")
-    return SpectralRHS(u.grid, p, dealias).field(u)
+    return make_rhs(u.grid, p, dealias).field(u)
 
 
 def rhs_fbbm(u: RealField, p: ModelParams, dealias: bool = True) -> RealField:
     """du/dt for the fractional Benjamin-Bona-Mahony equation."""
     if p.kind is not ModelKind.FBBM:
         raise ParameterError(f"rhs_fbbm needs an FBBM parameter set, got {p.kind}")
-    return SpectralRHS(u.grid, p, dealias).field(u)
+    return make_rhs(u.grid, p, dealias).field(u)
 
 
 def rhs_linearized(u: RealField, p: ModelParams, dealias: bool = True) -> RealField:
     """du/dt for the linearization shared by fCH/fBBM (c_nl = c_mix = 0)."""
     lin = ModelParams(ModelKind.LINEARIZED_FCH, p.nu, p.coefficients)
-    return SpectralRHS(u.grid, lin, dealias).field(u)
+    return make_rhs(u.grid, lin, dealias).field(u)
 
 
 def rhs_quasilinear_normalized(u: RealField, nu) -> RealField:

@@ -1,19 +1,19 @@
 """Time integration, wave-breaking detection, and checkpointing.
 
 Every run steps through one ``StepPlan``, built once per (grid, model,
-dt, integrator, dealias).  The plan holds the half-spectrum symbols of
-the model (``models.SpectralRHS``) and the integrating-factor
+dt, integrator, dealias).  The plan holds the half-spectrum evaluator of
+the model (``models.make_rhs``) and, for IFRK4, the integrating-factor
 exponentials; the state stays a dealiased half spectrum for the whole run,
 and grid values are synthesized only for the snapshot sink, a breaking
 report and the returned state.
 
-Two integrators share the plan's one step function.  Classical RK4 suits
-fCH and fBBM, whose linearized phase speed stays bounded as k grows (it
-tends to c_disp/c_evo), so the stiffness is only advective.  fKdV has no
-evolution-side smoothing and its dispersive phase grows like
-|k|^(2 nu + 1); the integrating-factor RK4 removes that linear part
-exactly and steps only the nonlinearity.  RK4 is that scheme with an
-empty linear part.
+Two integrators step the plan's state.  Classical RK4 (``rk4_step``)
+suits fCH and fBBM, whose linearized phase speed stays bounded as k grows
+(it tends to c_disp/c_evo), so the stiffness is only advective.  fKdV has
+no evolution-side smoothing and its dispersive phase grows like
+|k|^(2 nu + 1); the integrating-factor RK4 (``ifrk4_step``) removes that
+linear part exactly and steps only the nonlinearity.  RK4 is that scheme
+with an empty linear part; it is written out without the unit factors.
 
 Breaking detection is deliberately conjunctive: a steep slope alone can
 be an under-resolved (aliased) front, so the detector also requires a
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BlowUpError, CheckpointError, ParameterError
-from .models import ModelKind, ModelParams, SpectralRHS, dispersion_speed
+from .models import ModelKind, ModelParams, dispersion_speed, make_rhs
 from .spectral import Grid, RealField, coeffs_of, half_coeffs_of, half_values_of
 
 AUTO = "auto"
@@ -154,16 +154,35 @@ def _checked(arr: np.ndarray, t: float, stage: int) -> np.ndarray:
     return arr
 
 
+def _checked_update(u_hat: np.ndarray, t: float) -> np.ndarray:
+    # 2 sum |u_hat_k| bounds every grid value of a half spectrum; requiring
+    # twice that to be finite leaves the inverse transform's partial sums
+    # headroom, so the values later built from u_hat are finite too
+    if not math.isfinite(4.0 * np.abs(u_hat).sum()):
+        finite = np.isfinite(u_hat)
+        raise BlowUpError(
+            f"non-finite or overflowing update at t={t:.6g}",
+            index=int(np.argmin(finite)) if not finite.all() else None,
+            t=t,
+            stage=5,
+        )
+    return u_hat
+
+
+def _require_fkdv_for_if(model: ModelParams, integrator: Integrator) -> None:
+    if integrator is Integrator.IFRK4 and model.kind is not ModelKind.FKDV:
+        raise ParameterError("IFRK4 treats the fKdV linear symbol; use rk4 otherwise")
+
+
 class StepPlan:
     """Everything one run's steps need, built once per (grid, model, dt,
     integrator, dealias).
 
-    The state is the half spectrum ``u_hat`` (see ``SpectralRHS``), kept
-    dealiased by construction when ``dealias`` is set.  One step is the
-    integrating-factor RK4 of Kassam & Trefethen (2005) for
-    u_hat_t = Lin u_hat + F(u_hat) with the factors exp(dt/2 Lin) and
-    exp(dt Lin) precomputed.  IFRK4 puts the fKdV linear symbol in Lin;
-    classical RK4 is the same scheme with Lin empty (both factors 1).
+    The state is the half spectrum ``u_hat`` (see ``models.SpectralRHS``),
+    kept dealiased by construction when ``dealias`` is set.  With IFRK4
+    the fKdV linear symbol Lin is left out of ``rhs`` and the factors
+    exp(dt/2 Lin) and exp(dt Lin) are precomputed; with RK4 ``rhs`` is
+    the whole right-hand side.
     """
 
     def __init__(
@@ -174,30 +193,47 @@ class StepPlan:
         integrator: Integrator = Integrator.RK4,
         dealias: bool = True,
     ):
+        _require_fkdv_for_if(model, integrator)
         if not (np.isfinite(dt) and dt > 0):
             raise ParameterError(f"dt must be positive, got {dt}")
         exact_linear = integrator is Integrator.IFRK4
-        if exact_linear and model.kind is not ModelKind.FKDV:
-            raise ParameterError("IFRK4 treats the fKdV linear symbol; use rk4 otherwise")
         self.dt = dt
-        self.rhs = SpectralRHS(grid, model, dealias, linear=not exact_linear)
+        self.rhs = make_rhs(grid, model, dealias, linear=not exact_linear)
         if exact_linear:
             self.e_half = np.exp(0.5 * dt * self.rhs.linear_symbol)
             self.e_full = self.e_half * self.e_half
+            self._step = ifrk4_step
         else:
-            self.e_half = self.e_full = 1.0
+            self._step = rk4_step
 
     def step(self, u_hat: np.ndarray, t: float) -> np.ndarray:
         """u_hat one step of dt later.  Raises ``BlowUpError`` carrying t
         and the stage (1-4, or 5 for the update) at the first non-finite
         value."""
-        f, dt, e_half, e_full = self.rhs, self.dt, self.e_half, self.e_full
-        k1 = _checked(f(u_hat), t, 1)
-        k2 = _checked(f(e_half * (u_hat + 0.5 * dt * k1)), t, 2)
-        k3 = _checked(f(e_half * u_hat + 0.5 * dt * k2), t, 3)
-        k4 = _checked(f(e_full * u_hat + dt * e_half * k3), t, 4)
-        new = e_full * u_hat + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-        return _checked(new, t, 5)
+        return self._step(self, u_hat, t)
+
+
+def rk4_step(plan: StepPlan, u_hat: np.ndarray, t: float) -> np.ndarray:
+    """One classical Runge-Kutta step of u_hat_t = plan.rhs(u_hat)."""
+    f, dt = plan.rhs, plan.dt
+    k1 = _checked(f(u_hat), t, 1)
+    k2 = _checked(f(u_hat + 0.5 * dt * k1), t, 2)
+    k3 = _checked(f(u_hat + 0.5 * dt * k2), t, 3)
+    k4 = _checked(f(u_hat + dt * k3), t, 4)
+    return _checked_update(u_hat + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), t)
+
+
+def ifrk4_step(plan: StepPlan, u_hat: np.ndarray, t: float) -> np.ndarray:
+    """One integrating-factor RK4 step (Kassam & Trefethen 2005) of
+    u_hat_t = Lin u_hat + plan.rhs(u_hat), Lin exact through the plan's
+    factors."""
+    f, dt, e_half, e_full = plan.rhs, plan.dt, plan.e_half, plan.e_full
+    k1 = _checked(f(u_hat), t, 1)
+    k2 = _checked(f(e_half * (u_hat + 0.5 * dt * k1)), t, 2)
+    k3 = _checked(f(e_half * u_hat + 0.5 * dt * k2), t, 3)
+    k4 = _checked(f(e_full * u_hat + dt * e_half * k3), t, 4)
+    new = e_full * u_hat + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+    return _checked_update(new, t)
 
 
 def auto_dt(
@@ -332,8 +368,7 @@ def integrate(
     The start's stored spectrum is stepped as is, so a resumed trajectory
     is bit-identical to an uninterrupted one when dt is explicit.
     """
-    if config.integrator is Integrator.IFRK4 and model.kind is not ModelKind.FKDV:
-        raise ParameterError("IFRK4 is only valid for fKdV")
+    _require_fkdv_for_if(model, config.integrator)
 
     if start is None:
         grid = u0.grid

@@ -24,13 +24,6 @@ from fracwave.operators import lambda_symbol, laplacian_symbol, masked_product
 from fracwave.spectral import coeffs_of, values_of
 from conftest import make_grid, smooth_field
 
-RHS_OF_KIND = {
-    "fch": rhs_fch,
-    "fkdv": rhs_fkdv,
-    "fbbm": rhs_fbbm,
-    "linearized": rhs_linearized,
-}
-
 
 class TestModelParams:
     def test_defaults(self):
@@ -76,7 +69,9 @@ class TestEquilibria:
         g = make_grid(32)
         p = make_params(kind, 1.5)
         u = RealField(g, np.full(32, value))
-        out = RHS_OF_KIND[kind](u, p)
+        from fracwave import make_rhs
+
+        out = make_rhs(g, p).field(u)
         assert sobolev_norm(out, 0.0) <= 1e-13
 
 
@@ -122,7 +117,9 @@ class TestLinearRegime:
         p = make_params(kind, nu)
         eps = 1e-6
         u = RealField(g, eps * np.sin(k * g.x))
-        out = RHS_OF_KIND[kind](u, p)
+        from fracwave import make_rhs
+
+        out = make_rhs(g, p).field(u)
         c = dispersion_speed(float(k), p)
         expected = -c * derivative(u).values
         assert np.abs(out.values - expected).max() < 100 * eps**2

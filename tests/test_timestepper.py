@@ -28,9 +28,11 @@ from fracwave import (
     forward_transform,
     fractional_laplacian,
     helmholtz_inverse,
+    ifrk4_step,
     integrate,
     inverse_transform,
     make_params,
+    rk4_step,
 )
 from fracwave.operators import laplacian_symbol, masked_product
 from fracwave.spectral import coeffs_of, half_coeffs_of, half_values_of, values_of
@@ -215,6 +217,16 @@ class TestStepPlan:
         got = half_values_of(plan.step(half_coeffs_of(u0.values), 0.0), n)
         assert np.abs(got - expected).max() < 1e-13
 
+    @pytest.mark.parametrize(
+        "kind,integrator,kernel",
+        [("fch", Integrator.RK4, rk4_step), ("fkdv", Integrator.IFRK4, ifrk4_step)],
+    )
+    def test_step_is_the_integrators_kernel(self, kind, integrator, kernel, rng):
+        g = make_grid(64)
+        plan = StepPlan(g, make_params(kind, 1.0), 1e-3, integrator)
+        u_hat = half_coeffs_of(smooth_field(g, rng, band=8, amplitude=0.5).values)
+        assert np.array_equal(plan.step(u_hat, 0.0), kernel(plan, u_hat, 0.0))
+
 
 class TestAutoDt:
     def test_rest_state_uses_dispersion_sup(self):
@@ -333,6 +345,28 @@ class TestIntegrate:
         cfg = SolverConfig(t_end=1.0, integrator=Integrator.IFRK4)
         with pytest.raises(ParameterError):
             integrate(RealField.zeros(g), make_params("fch", 1.0), cfg)
+
+    def test_ifrk4_kind_guard_without_steps(self):
+        g = make_grid(32)
+        cfg = SolverConfig(t_end=0.0, integrator=Integrator.IFRK4)
+        with pytest.raises(ParameterError, match="IFRK4"):
+            integrate(RealField.zeros(g), make_params("fch", 1.0), cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_update_is_blowup(self):
+        # every coefficient is finite, but the grid values they sum to are not
+        g = make_grid(64)
+        zero = make_params("linearized", 1.0, Coefficients(c_adv=0.0, c_nl=0.0))
+        u_hat = np.full(33, 1e307, dtype=complex)
+        start = SimulationState(t=0.5, u=RealField.zeros(g), u_hat=u_hat)
+        seen = []
+        res = integrate(None, zero, SolverConfig(t_end=1.0, dt=0.25),
+                        sink=lambda t, u: seen.append(u), start=start)
+        assert res.outcome is Outcome.BLOWUP
+        assert res.blowup_time == 0.5
+        assert res.blowup_stage == 5
+        assert res.state.t == 0.5 and res.state.u_hat is u_hat  # last good state
+        assert all(np.isfinite(u.values).all() for u in seen)
 
     def test_breaking_halt(self):
         g = make_grid(256)
