@@ -27,6 +27,7 @@ from .config import (
     RunConfig,
     apply_overrides,
     build_initial,
+    load_config,
     validate_config,
     write_manifest,
     write_snapshot,
@@ -66,7 +67,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _SnapshotWriter:
-    def __init__(self, directory):
+    def __init__(self, directory, model):
         self.directory = directory
         self.entries = []
         self.times = []
@@ -74,11 +75,7 @@ class _SnapshotWriter:
         self.mass = []
         self.momentum = []
         self.energy = []
-        self._model = None
-
-    def bind(self, model):
         self._model = model
-        return self
 
     def __call__(self, t, u):
         name = f"snap_{len(self.entries):06d}.csv"
@@ -113,17 +110,22 @@ def _drift(series, floor=0.0):
     }
 
 
-def _execute_run(run_cfg: RunConfig, out_dir: str, start_state=None) -> int:
-    """Shared driver for run, resume, and sweep points."""
-    os.makedirs(out_dir, exist_ok=True)
-    sink = _SnapshotWriter(out_dir).bind(run_cfg.model)
-    if start_state is None:
-        u0 = build_initial(run_cfg.initial, run_cfg.grid)
-        result = integrate(u0, run_cfg.model, run_cfg.solver, sink=sink)
-    else:
-        result = integrate(
-            start_state.u, run_cfg.model, run_cfg.solver, sink=sink, start=start_state
-        )
+def _make_output_dir(path) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(
+            f"cannot create output directory {path!r}: {err}", key="output.directory"
+        ) from None
+
+
+def _execute_run(run_cfg: RunConfig, out_dir: str, start_state=None):
+    """Run one trajectory for run, resume or a sweep point; returns the
+    exit code and the manifest."""
+    u0 = start_state.u if start_state else build_initial(run_cfg.initial, run_cfg.grid)
+    _make_output_dir(out_dir)
+    sink = _SnapshotWriter(out_dir, run_cfg.model)
+    result = integrate(u0, run_cfg.model, run_cfg.solver, sink=sink, start=start_state)
     checkpoint_write(result.state, os.path.join(out_dir, "checkpoint.fwck"))
 
     phase_speed = None
@@ -169,85 +171,71 @@ def _execute_run(run_cfg: RunConfig, out_dir: str, start_state=None) -> int:
         write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
 
     if result.outcome is Outcome.BREAKING:
-        return EXIT_BREAKING
+        return EXIT_BREAKING, manifest
     if result.outcome is Outcome.BLOWUP:
-        return EXIT_BLOWUP
-    return EXIT_OK
-
-
-def _load_with_overrides(args) -> RunConfig:
-    try:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    except OSError as err:
-        raise ConfigError(f"cannot read config {args.config}: {err}") from None
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config {args.config} is not valid JSON: {err}") from None
-    raw = apply_overrides(raw, args.set or [])
-    return validate_config(raw, allow_low_nu=args.allow_low_nu)
+        return EXIT_BLOWUP, manifest
+    return EXIT_OK, manifest
 
 
 def cmd_run(args) -> int:
-    run_cfg = _load_with_overrides(args)
-    return _execute_run(run_cfg, run_cfg.output.directory)
+    run_cfg = load_config(args.config, args.set or (), args.allow_low_nu)
+    return _execute_run(run_cfg, run_cfg.output.directory)[0]
 
 
 def cmd_resume(args) -> int:
-    run_cfg = _load_with_overrides(args)
+    run_cfg = load_config(args.config, args.set or (), args.allow_low_nu)
     state = checkpoint_read(args.checkpoint)
     if state.u.grid != run_cfg.grid:
         raise ConfigError(
             f"checkpoint grid (L={state.u.grid.length}, N={state.u.grid.n_points}) "
             f"does not match the config grid"
         )
-    return _execute_run(run_cfg, run_cfg.output.directory, start_state=state)
+    return _execute_run(run_cfg, run_cfg.output.directory, start_state=state)[0]
 
 
 def cmd_sweep(args) -> int:
-    run_cfg = _load_with_overrides(args)  # validates the base config
-    values = []
+    run_cfg = load_config(args.config, args.set or (), args.allow_low_nu)
+    # point directories are named by value to 15 significant digits; values
+    # that share a name would share a directory, so later ones are dropped
+    points_by_name = {}
     for item in args.values.split(","):
         item = item.strip()
         if not item:
             continue
         try:
-            values.append(float(item))
+            value = float(item)
         except ValueError:
             raise ConfigError(f"sweep value {item!r} is not a number") from None
-    if not values:
-        raise ConfigError("sweep needs a non-empty --values list")
-    deduped = []
-    for v in values:
-        if v in deduped:
-            print(f"warning: duplicate sweep value {v:g} ignored", file=sys.stderr)
+        name = f"{args.axis}={value:.15g}"
+        if name in points_by_name:
+            print(f"warning: duplicate sweep value {value:.15g} ignored", file=sys.stderr)
         else:
-            deduped.append(v)
+            points_by_name[name] = value
+    if not points_by_name:
+        raise ConfigError("sweep needs a non-empty --values list")
 
     key = {"nu": "model.nu", "amplitude": "initial.amplitude"}[args.axis]
     base_raw = run_cfg.raw
     out_root = run_cfg.output.directory
+    _make_output_dir(out_root)
 
-    def one_point(value):
-        point_dir = os.path.join(out_root, "sweep", f"{args.axis}={value:g}")
+    def one_point(name):
+        value = points_by_name[name]
+        point_dir = os.path.join(out_root, "sweep", name)
         try:
             raw = apply_overrides(
                 base_raw,
                 [f"{key}={value!r}", f"output.directory={point_dir}"],
             )
             cfg = validate_config(raw, allow_low_nu=args.allow_low_nu)
-            code = _execute_run(cfg, point_dir)
-            manifest_path = os.path.join(point_dir, "manifest.json")
-            manifest = {}
-            if os.path.exists(manifest_path):
-                with open(manifest_path) as fh:
-                    manifest = json.load(fh)
+            code, manifest = _execute_run(cfg, point_dir)
             return {
                 "value": value,
                 "directory": point_dir,
                 "exit_code": code,
-                "outcome": manifest.get("outcome"),
-                "conserved_drift": manifest.get("conserved_drift"),
-                "measured_phase_speed": manifest.get("measured_phase_speed"),
+                "outcome": manifest["outcome"],
+                "conserved_drift": manifest["conserved_drift"],
+                "measured_phase_speed": manifest["measured_phase_speed"],
             }
         except FracwaveError as err:
             return {
@@ -260,11 +248,10 @@ def cmd_sweep(args) -> int:
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            points = list(pool.map(one_point, deduped))
+            points = list(pool.map(one_point, points_by_name))
     else:
-        points = [one_point(v) for v in deduped]
+        points = [one_point(name) for name in points_by_name]
 
-    os.makedirs(out_root, exist_ok=True)
     summary = {"axis": args.axis, "points": points}
     write_manifest(os.path.join(out_root, "sweep_summary.json"), summary)
     return EXIT_OK if all(p["exit_code"] == EXIT_OK for p in points) else EXIT_USAGE
@@ -275,9 +262,7 @@ def cmd_sweep(args) -> int:
 
 def _write_report(path, payload) -> None:
     if path:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_manifest(path, payload)
     else:
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -343,7 +328,7 @@ def cmd_diagnose_lipschitz(args) -> int:
 
 
 def cmd_diagnose_dependence(args) -> int:
-    run_cfg = _load_with_overrides(args)
+    run_cfg = load_config(args.config, args.set or (), args.allow_low_nu)
     u0 = build_initial(run_cfg.initial, run_cfg.grid)
     deltas = [float(d) for d in args.deltas.split(",") if d.strip()]
     if not deltas:
@@ -368,7 +353,7 @@ def cmd_diagnose_dependence(args) -> int:
 
 
 def cmd_diagnose_convergence(args) -> int:
-    run_cfg = _load_with_overrides(args)
+    run_cfg = load_config(args.config, args.set or (), args.allow_low_nu)
     kind = StudyKind.from_string(args.kind)
     initial = lambda grid: build_initial(run_cfg.initial, grid).values
     result = convergence_study(

@@ -1,9 +1,13 @@
 """Run configuration files and the on-disk formats the CLI owns.
 
 Configs are JSON with four sections (model, grid, initial, solver) plus
-an optional output section.  Validation is strict: unknown keys are
-rejected by name, types are checked, and the model-family constraint
-nu >= 1 is enforced unless explicitly waived.
+an optional output section.  ``load_config`` is the one way from a file
+to a ``RunConfig``: it parses the JSON, applies ``--set`` overrides and
+validates.  Validation is strict: unknown keys are rejected by name,
+types are checked, numbers must be finite (NaN and Infinity are config
+errors), and the model-family constraint nu >= 1 is enforced unless
+explicitly waived.  Each section is read against one {key: kind} table,
+and an absent key takes the default of the dataclass that owns it.
 
 Snapshots are CSV with an `x,u` header and 17-significant-digit floats,
 which round-trips IEEE doubles exactly; a snapshot is therefore loadable
@@ -13,21 +17,46 @@ back as initial data (`initial: {"kind": "file", ...}`) without loss.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import BlowUpError, ConfigError, ParameterError
 from .models import Coefficients, ModelKind, ModelParams, default_coefficients, make_params
 from .spectral import Grid, RealField
-from .timestepper import AUTO, SolverConfig
+from .timestepper import AUTO, Integrator, SolverConfig, write_atomic
 
+# Each key table maps a section's allowed keys to their JSON kind.  Only
+# keys present in the file are passed on, so every default lives in the
+# dataclass or function that uses it.
+_SECTIONS = dict.fromkeys(("model", "grid", "initial", "solver", "output"), dict)
+_MODEL_KEYS = {"kind": str, "nu": float, "coefficients": dict}
+_COEFFICIENT_KEYS = dict.fromkeys((f.name for f in fields(Coefficients)), float)
+_SOLVER_KEYS = {
+    "integrator": str,
+    "dt": float,
+    "cfl": float,
+    "t_end": float,
+    "snapshot_every": float,
+    "dealias": bool,
+    "breaking_slope_threshold": float,
+    "tail_fraction_threshold": float,
+    "on_breaking": str,
+}
+_OUTPUT_KEYS = {"directory": str, "manifest": bool}
+_GRID_KEYS = {"L": float, "N": int}
 _INITIAL_KINDS = {
-    "zero": (),
-    "constant": ("value",),
-    "mode": ("k", "amplitude", "phase"),
-    "gaussian": ("amplitude", "width", "center"),
-    "file": ("path",),
+    "zero": {},
+    "constant": {"value": float},
+    "mode": {"k": int, "amplitude": float, "phase": float},
+    "gaussian": {"amplitude": float, "width": float, "center": float},
+    "file": {"path": str},
+}
+_INITIAL_OPTIONAL = ("phase", "center")  # build_initial supplies these
+
+_KIND_NAMES = {
+    float: "a number", int: "an integer", bool: "a boolean", str: "a string", dict: "an object",
 }
 
 
@@ -40,7 +69,6 @@ class InitialSpec:
 @dataclass
 class OutputConfig:
     directory: str = "out"
-    snapshot_format: str = "csv"
     manifest: bool = True
 
 
@@ -54,16 +82,8 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
 
-def _require_section(cfg: dict, name: str) -> dict:
-    if name not in cfg:
-        raise ConfigError(f"missing required section '{name}'", key=name)
-    section = cfg[name]
-    if not isinstance(section, dict):
-        raise ConfigError(f"section '{name}' must be an object", key=name)
-    return section
-
-
-def _check_keys(section: dict, allowed, where: str):
+def _check_keys(section: dict, allowed, where):
+    where = where or "<root>"
     for key in section:
         if key not in allowed:
             raise ConfigError(
@@ -71,213 +91,133 @@ def _check_keys(section: dict, allowed, where: str):
             )
 
 
-def _number(section, key, where, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing required key '{where}.{key}'", key=f"{where}.{key}")
-        return default
-    val = section[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"'{where}.{key}' must be a number, got {val!r}", key=f"{where}.{key}")
-    return float(val)
+def _read(section, key, where, kind):
+    """Read the required ``section[key]`` as ``kind`` (float, int, bool, str
+    or dict).
 
-
-def _integer(section, key, where, default=None, required=False):
+    ``where`` is the dotted name of the section, None for the root.  A
+    number must be finite: NaN or an infinite threshold, length or
+    amplitude is never a valid run.
+    """
+    name = f"{where}.{key}" if where else key
     if key not in section:
-        if required:
-            raise ConfigError(f"missing required key '{where}.{key}'", key=f"{where}.{key}")
-        return default
+        raise ConfigError(f"missing required key '{name}'", key=name)
     val = section[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"'{where}.{key}' must be an integer, got {val!r}", key=f"{where}.{key}")
+    ok = isinstance(val, kind) or (kind is float and isinstance(val, int))
+    if not ok or (isinstance(val, bool) and kind is not bool):
+        raise ConfigError(f"'{name}' must be {_KIND_NAMES[kind]}, got {val!r}", key=name)
+    if kind is float:
+        # also catches an integer too large to convert to a double
+        if not abs(val) <= sys.float_info.max:
+            raise ConfigError(f"'{name}' must be finite, got {val}", key=name)
+        val = float(val)
     return val
 
 
-def _boolean(section, key, where, default):
-    if key not in section:
-        return default
-    val = section[key]
-    if not isinstance(val, bool):
-        raise ConfigError(f"'{where}.{key}' must be a boolean, got {val!r}", key=f"{where}.{key}")
-    return val
-
-
-def _string(section, key, where, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing required key '{where}.{key}'", key=f"{where}.{key}")
-        return default
-    val = section[key]
-    if not isinstance(val, str):
-        raise ConfigError(f"'{where}.{key}' must be a string, got {val!r}", key=f"{where}.{key}")
-    return val
+def _read_keys(section, table, where, required=()) -> dict:
+    """Check ``section`` against ``table`` and read the keys it holds;
+    a key in ``required`` must be there."""
+    _check_keys(section, table, where)
+    return {
+        key: _read(section, key, where, kind)
+        for key, kind in table.items()
+        if key in section or key in required
+    }
 
 
 def validate_config(cfg: dict, allow_low_nu: bool = False) -> RunConfig:
     """Turn a parsed JSON object into a validated RunConfig."""
     if not isinstance(cfg, dict):
         raise ConfigError("configuration root must be a JSON object")
-    _check_keys(cfg, ("model", "grid", "initial", "solver", "output"), "<root>")
+    sections = _read_keys(cfg, _SECTIONS, None, required=("model", "grid", "initial", "solver"))
 
     # model
-    model_sec = _require_section(cfg, "model")
-    _check_keys(model_sec, ("kind", "nu", "coefficients"), "model")
-    kind = _string(model_sec, "kind", "model", required=True)
-    nu_val = _number(model_sec, "nu", "model", required=True)
+    m = _read_keys(sections["model"], _MODEL_KEYS, "model", required=("kind", "nu"))
     coeffs = None
-    if "coefficients" in model_sec:
-        csec = model_sec["coefficients"]
-        if not isinstance(csec, dict):
-            raise ConfigError("'model.coefficients' must be an object", key="model.coefficients")
-        _check_keys(csec, ("c_adv", "c_nl", "c_disp", "c_evo", "c_mix"), "model.coefficients")
+    if "coefficients" in m:
         try:
-            base = default_coefficients(ModelKind.from_string(kind))
-        except Exception as err:
+            base = default_coefficients(ModelKind.from_string(m["kind"]))
+        except ParameterError as err:
             raise ConfigError(str(err), key="model.kind") from None
-        coeffs = Coefficients(
-            c_adv=_number(csec, "c_adv", "model.coefficients", base.c_adv),
-            c_nl=_number(csec, "c_nl", "model.coefficients", base.c_nl),
-            c_disp=_number(csec, "c_disp", "model.coefficients", base.c_disp),
-            c_evo=_number(csec, "c_evo", "model.coefficients", base.c_evo),
-            c_mix=_number(csec, "c_mix", "model.coefficients", base.c_mix),
+        given = _read_keys(m["coefficients"], _COEFFICIENT_KEYS, "model.coefficients")
+        coeffs = replace(base, **given)
+    if not allow_low_nu and m["nu"] < 1.0:
+        raise ConfigError(
+            f"model.nu = {m['nu']} < 1; pass --allow-low-nu to waive the nu >= 1 constraint",
+            key="model.nu",
         )
     try:
-        if not allow_low_nu and nu_val < 1.0:
-            raise ConfigError(
-                f"model.nu = {nu_val} < 1; pass --allow-low-nu to waive the "
-                "nu >= 1 constraint",
-                key="model.nu",
-            )
-        model = make_params(kind, nu_val, coeffs, strict_nu=not allow_low_nu)
-    except ConfigError:
-        raise
-    except Exception as err:
+        model = make_params(m["kind"], m["nu"], coeffs, strict_nu=not allow_low_nu)
+    except ParameterError as err:
         raise ConfigError(str(err), key="model") from None
 
     # grid
-    grid_sec = _require_section(cfg, "grid")
-    _check_keys(grid_sec, ("L", "N"), "grid")
-    length = _number(grid_sec, "L", "grid", default=2.0 * np.pi)
-    n = _integer(grid_sec, "N", "grid", required=True)
+    g = _read_keys(sections["grid"], _GRID_KEYS, "grid", required=("N",))
     try:
-        grid = Grid(length=length, n_points=n)
+        grid = Grid(length=g.get("L", 2.0 * np.pi), n_points=g["N"])
     except Exception as err:
         raise ConfigError(str(err), key="grid") from None
 
     # initial
-    init_sec = _require_section(cfg, "initial")
-    init_kind = _string(init_sec, "kind", "initial", required=True)
+    init_sec = sections["initial"]
+    init_kind = _read(init_sec, "kind", "initial", str)
     if init_kind not in _INITIAL_KINDS:
         raise ConfigError(
             f"unknown initial kind {init_kind!r}; expected one of "
             f"{sorted(_INITIAL_KINDS)}",
             key="initial.kind",
         )
-    _check_keys(init_sec, ("kind",) + _INITIAL_KINDS[init_kind], "initial")
-    params: dict = {}
-    if init_kind == "constant":
-        params["value"] = _number(init_sec, "value", "initial", required=True)
-    elif init_kind == "mode":
-        params["k"] = _integer(init_sec, "k", "initial", required=True)
-        if not 1 <= params["k"] < grid.n_points // 2:
-            raise ConfigError(
-                f"initial.k must lie in [1, N/2) = [1, {grid.n_points // 2}), "
-                f"got {params['k']}",
-                key="initial.k",
-            )
-        params["amplitude"] = _number(init_sec, "amplitude", "initial", required=True)
-        params["phase"] = _number(init_sec, "phase", "initial", default=0.0)
-    elif init_kind == "gaussian":
-        params["amplitude"] = _number(init_sec, "amplitude", "initial", required=True)
-        params["width"] = _number(init_sec, "width", "initial", required=True)
-        if params["width"] <= 0:
-            raise ConfigError("initial.width must be positive", key="initial.width")
-        # center defaults at build time to the target grid's midpoint, so
-        # box-size studies keep the bump centered as L grows
-        params["center"] = _number(init_sec, "center", "initial", default=None)
-    elif init_kind == "file":
-        params["path"] = _string(init_sec, "path", "initial", required=True)
+    table = {"kind": str, **_INITIAL_KINDS[init_kind]}
+    params = _read_keys(
+        init_sec, table, "initial", required=[k for k in table if k not in _INITIAL_OPTIONAL]
+    )
+    del params["kind"]
+    if init_kind == "mode" and not 1 <= params["k"] < grid.n_points // 2:
+        raise ConfigError(
+            f"initial.k must lie in [1, N/2) = [1, {grid.n_points // 2}), "
+            f"got {params['k']}",
+            key="initial.k",
+        )
+    if init_kind == "gaussian" and params["width"] <= 0:
+        raise ConfigError("initial.width must be positive", key="initial.width")
     initial = InitialSpec(kind=init_kind, params=params)
 
     # solver
-    solver_sec = _require_section(cfg, "solver")
-    _check_keys(
-        solver_sec,
-        (
-            "integrator",
-            "dt",
-            "cfl",
-            "t_end",
-            "snapshot_every",
-            "dealias",
-            "breaking_slope_threshold",
-            "tail_fraction_threshold",
-            "on_breaking",
-        ),
-        "solver",
-    )
-    dt_raw = solver_sec.get("dt", AUTO)
-    if isinstance(dt_raw, str) and dt_raw != AUTO:
-        raise ConfigError(f"'solver.dt' must be a number or 'auto', got {dt_raw!r}", key="solver.dt")
-    try:
-        solver = SolverConfig(
-            t_end=_number(solver_sec, "t_end", "solver", required=True),
-            # fKdV's dispersive phase grows like |k|^(2 nu + 1): only the
-            # integrating factor keeps its auto dt advective
-            integrator=_string(
-                solver_sec, "integrator", "solver",
-                default="ifrk4" if model.kind is ModelKind.FKDV else "rk4",
-            ),
-            dt=dt_raw if dt_raw == AUTO else _number(solver_sec, "dt", "solver"),
-            cfl=_number(solver_sec, "cfl", "solver", default=0.5),
-            snapshot_every=_number(solver_sec, "snapshot_every", "solver"),
-            dealias=_boolean(solver_sec, "dealias", "solver", True),
-            breaking_slope_threshold=_number(
-                solver_sec, "breaking_slope_threshold", "solver", default=100.0
-            ),
-            tail_fraction_threshold=_number(
-                solver_sec, "tail_fraction_threshold", "solver", default=1e-4
-            ),
-            on_breaking=_string(solver_sec, "on_breaking", "solver", default="halt"),
+    solver_sec = sections["solver"]
+    dt = solver_sec.get("dt")
+    if dt == AUTO:  # the SolverConfig default
+        solver_sec = {k: v for k, v in solver_sec.items() if k != "dt"}
+    elif isinstance(dt, str):
+        raise ConfigError(
+            f"'solver.dt' must be a number or 'auto', got {dt!r}", key="solver.dt"
         )
-    except ConfigError:
-        raise
-    except Exception as err:
+    options = _read_keys(solver_sec, _SOLVER_KEYS, "solver", required=("t_end",))
+    if model.kind is ModelKind.FKDV:
+        # fKdV's dispersive phase grows like |k|^(2 nu + 1): only the
+        # integrating factor keeps its auto dt advective
+        options.setdefault("integrator", Integrator.IFRK4)
+    try:
+        solver = SolverConfig(**options)
+    except ParameterError as err:
         raise ConfigError(str(err), key="solver") from None
 
-    # output (optional)
-    output = OutputConfig()
-    if "output" in cfg:
-        out_sec = cfg["output"]
-        if not isinstance(out_sec, dict):
-            raise ConfigError("section 'output' must be an object", key="output")
-        _check_keys(out_sec, ("directory", "snapshot_format", "manifest"), "output")
-        fmt = _string(out_sec, "snapshot_format", "output", default="csv")
-        if fmt != "csv":
-            raise ConfigError(
-                f"only 'csv' snapshots are supported, got {fmt!r}",
-                key="output.snapshot_format",
-            )
-        output = OutputConfig(
-            directory=_string(out_sec, "directory", "output", default="out"),
-            snapshot_format=fmt,
-            manifest=_boolean(out_sec, "manifest", "output", True),
-        )
+    output = OutputConfig(**_read_keys(sections.get("output", {}), _OUTPUT_KEYS, "output"))
 
     return RunConfig(
         model=model, grid=grid, initial=initial, solver=solver, output=output, raw=cfg
     )
 
 
-def load_config(path, allow_low_nu: bool = False) -> RunConfig:
+def load_config(path, overrides=(), allow_low_nu: bool = False) -> RunConfig:
+    """Read a JSON config file, apply ``--set`` overrides and validate it."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or bytes that are not text
         raise ConfigError(f"config {path} is not valid JSON: {err}") from None
-    return validate_config(cfg, allow_low_nu=allow_low_nu)
+    return validate_config(apply_overrides(cfg, overrides), allow_low_nu=allow_low_nu)
 
 
 def apply_overrides(cfg: dict, assignments) -> dict:
@@ -300,9 +240,9 @@ def apply_overrides(cfg: dict, assignments) -> dict:
             value = raw_val
         node = out
         for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"override {dotted!r} descends into a non-object")
+            node = node.setdefault(part, {}) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            raise ConfigError(f"override {dotted!r} descends into a non-object")
         node[parts[-1]] = value
     return out
 
@@ -310,27 +250,31 @@ def apply_overrides(cfg: dict, assignments) -> dict:
 # -- initial data -----------------------------------------------------------
 
 def build_initial(spec: InitialSpec, grid: Grid) -> RealField:
-    """Materialize the configured initial datum on a grid."""
+    """Materialize the configured initial datum on a grid.
+
+    Data that is not finite on the grid (a snapshot file holding NaN, a
+    Gaussian too narrow for double precision) is a config error, not a
+    blow-up.
+    """
     x = grid.x
     p = spec.params
     if spec.kind == "zero":
-        return RealField.zeros(grid)
-    if spec.kind == "constant":
-        return RealField(grid, np.full(grid.n_points, p["value"]))
-    if spec.kind == "mode":
+        values = np.zeros(grid.n_points)
+    elif spec.kind == "constant":
+        values = np.full(grid.n_points, p["value"])
+    elif spec.kind == "mode":
         k = 2.0 * np.pi * p["k"] / grid.length
-        return RealField(grid, p["amplitude"] * np.sin(k * x + p["phase"]))
-    if spec.kind == "gaussian":
-        center = p["center"] if p.get("center") is not None else grid.length / 2.0
-        return RealField(
-            grid,
-            p["amplitude"] * np.exp(-((x - center) ** 2) / (2.0 * p["width"] ** 2)),
-        )
-    if spec.kind == "file":
-        xs, us = read_snapshot(p["path"])
-        if len(us) != grid.n_points:
+        values = p["amplitude"] * np.sin(k * x + p.get("phase", 0.0))
+    elif spec.kind == "gaussian":
+        # center defaults to the target grid's midpoint, so box-size
+        # studies keep the bump centered as L grows
+        center = p.get("center", grid.length / 2.0)
+        values = p["amplitude"] * np.exp(-((x - center) ** 2) / (2.0 * p["width"] ** 2))
+    elif spec.kind == "file":
+        xs, values = read_snapshot(p["path"])
+        if len(values) != grid.n_points:
             raise ConfigError(
-                f"snapshot {p['path']} has {len(us)} points but the grid needs "
+                f"snapshot {p['path']} has {len(values)} points but the grid needs "
                 f"{grid.n_points}",
                 key="initial.path",
             )
@@ -339,8 +283,12 @@ def build_initial(spec: InitialSpec, grid: Grid) -> RealField:
                 f"snapshot {p['path']} was written for a different grid",
                 key="initial.path",
             )
-        return RealField(grid, us)
-    raise ConfigError(f"unknown initial kind {spec.kind!r}", key="initial.kind")
+    else:
+        raise ConfigError(f"unknown initial kind {spec.kind!r}", key="initial.kind")
+    try:
+        return RealField(grid, values)
+    except BlowUpError as err:
+        raise ConfigError(f"initial data is not finite: {err}", key="initial") from None
 
 
 # -- snapshot CSV -------------------------------------------------------------
@@ -375,6 +323,6 @@ def read_snapshot(path):
 # -- manifest -----------------------------------------------------------------
 
 def write_manifest(path, manifest: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    """Write a JSON document (run manifest, sweep summary, diagnose report)
+    atomically."""
+    write_atomic(path, (json.dumps(manifest, indent=2) + "\n").encode())

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field, replace
@@ -486,8 +487,21 @@ def checkpoint_write(state: SimulationState, path) -> None:
     payload += state.u.values.astype("<f8").tobytes()
     payload += _spectrum_of(state).astype("<c16").tobytes()
     payload += struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-    with open(path, "wb") as fh:
-        fh.write(payload)
+    write_atomic(path, payload)
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it
+    over ``path``: a reader sees the old file or the new one, never a part,
+    and a failed write leaves the old file as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def checkpoint_read(path) -> SimulationState:

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracwave import dispersion_speed, make_params
 from fracwave.cli import main
@@ -77,6 +83,34 @@ class TestRun:
         assert err.startswith("error:") and "must be finite" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        ["initial.amplitude=NaN", "model.coefficients.c_adv=NaN", "grid.L=Infinity",
+         "output.snapshot_format=csv"],
+    )
+    def test_config_reproducers_exit_1(self, tmp_path, capsys, override):
+        cfg = base_config(tmp_path / "out", initial={"kind": "mode", "k": 1, "amplitude": 0.1})
+        cfg_path = write_config(tmp_path / "c.json", cfg)
+        assert main(["run", "--config", cfg_path, "--set", override]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert override.split("=")[0].split(".")[-1] in lines[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "nu", "--values", "1"]])
+    @pytest.mark.parametrize("under_file", [True, False])
+    def test_uncreatable_output_directory_exit_1(
+        self, tmp_path, capsys, monkeypatch, command, under_file
+    ):
+        monkeypatch.chdir(tmp_path)  # a relative directory must not land in the caller's cwd
+        (tmp_path / "file").write_text("")
+        directory = str(tmp_path / "file" / "out") if under_file else ""
+        cfg_path = write_config(tmp_path / "c.json", base_config(tmp_path / "out"))
+        args = [command[0], "--config", cfg_path, "--set", f"output.directory={directory}"]
+        assert main(args + command[1:]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot create output directory")
 
     def test_step_count_overflow_exit_1(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "c.json", base_config(tmp_path / "out"))
@@ -205,6 +239,40 @@ class TestSweep:
         with open(out / "sweep_summary.json") as fh:
             summary = json.load(fh)
         assert all(p["exit_code"] == 0 for p in summary["points"])
+
+    def test_close_values_get_own_directories(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = base_config(
+            out,
+            initial={"kind": "mode", "k": 1, "amplitude": 0.1},
+            solver={"t_end": 0.1, "dt": 0.01},
+        )
+        cfg_path = write_config(tmp_path / "c.json", cfg)
+        assert main([
+            "sweep", "--config", cfg_path, "--axis", "amplitude",
+            "--values", "0.1000001,0.1000002,0.1,0.1000000000000001", "--jobs", "2",
+        ]) == 0
+        # the last value differs from 0.1 only past 15 significant digits
+        assert "duplicate sweep value 0.1 ignored" in capsys.readouterr().err
+        with open(out / "sweep_summary.json") as fh:
+            points = json.load(fh)["points"]
+        names = [os.path.basename(p["directory"]) for p in points]
+        assert names == ["amplitude=0.1000001", "amplitude=0.1000002", "amplitude=0.1"]
+        assert sorted(os.listdir(out / "sweep")) == sorted(names)
+
+    def test_summary_outcome_without_manifest(self, tmp_path):
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "c.json", base_config(out))
+        assert main([
+            "sweep", "--config", cfg_path, "--axis", "nu", "--values", "1,1.5",
+            "--set", "output.manifest=false", "--set", "solver.t_end=0.1",
+        ]) == 0
+        with open(out / "sweep_summary.json") as fh:
+            points = json.load(fh)["points"]
+        for point in points:
+            assert point["outcome"] == "completed"
+            assert point["conserved_drift"]["mass"]["initial"] == 0.0
+            assert not os.path.exists(os.path.join(point["directory"], "manifest.json"))
 
     def test_point_failure_recorded(self, tmp_path):
         out = tmp_path / "out"
@@ -399,3 +467,48 @@ class TestResume:
         straight = sorted((tmp_path / "straight").glob("snap_*.csv"))[-1].read_bytes()
         split = sorted((tmp_path / "second").glob("snap_*.csv"))[-1].read_bytes()
         assert straight == split
+
+
+# Every config key but output.directory (a relative one would be written
+# outside the temporary directory) plus an unknown one, and a fixed set of
+# awkward JSON values, on an N=16 base config: no draw can allocate a large
+# grid.
+_PROPERTY_KEYS = [
+    "model.kind", "model.nu",
+    *(f"model.coefficients.{c}" for c in ("c_adv", "c_nl", "c_disp", "c_evo", "c_mix")),
+    "grid.L", "grid.N",
+    *(f"initial.{k}" for k in ("kind", "k", "amplitude", "phase", "value", "width",
+                               "center", "path")),
+    *(f"solver.{k}" for k in ("integrator", "dt", "cfl", "t_end", "snapshot_every",
+                              "dealias", "breaking_slope_threshold",
+                              "tail_fraction_threshold", "on_breaking")),
+    "output.manifest", "output.extra",
+]
+_PROPERTY_VALUES = ["NaN", "Infinity", "-Infinity", "-1", "0", "x", "true", "null", "[]", "{}"]
+
+
+class TestExitCodeProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from(_PROPERTY_KEYS), st.sampled_from(_PROPERTY_VALUES)),
+        min_size=1, max_size=3,
+    ))
+    def test_any_override_gives_a_contract_code(self, overrides):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = base_config(
+                os.path.join(tmp, "out"),
+                grid={"N": 16},
+                initial={"kind": "mode", "k": 1, "amplitude": 0.1},
+                solver={"t_end": 0.1, "dt": 0.01, "snapshot_every": 0.05},
+            )
+            args = ["run", "--config", write_config(Path(tmp) / "c.json", cfg)]
+            for key, value in overrides:
+                args += ["--set", f"{key}={value}"]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+                code = main(args)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        # a non-finite number is a config error for every key, never a blow-up
+        if any(v in ("NaN", "Infinity", "-Infinity") for v in dict(overrides).values()):
+            assert code == 1

@@ -1,16 +1,21 @@
+import builtins
+import json
+import os
+
 import numpy as np
 import pytest
 
-from fracwave import ConfigError, Integrator, ModelKind, RealField
+from fracwave import ConfigError, Integrator, ModelKind, RealField, timestepper
 from fracwave.config import (
     apply_overrides,
     build_initial,
     load_config,
     read_snapshot,
     validate_config,
+    write_manifest,
     write_snapshot,
 )
-from fracwave.timestepper import resolve_dt
+from fracwave.timestepper import SimulationState, checkpoint_write, resolve_dt
 from conftest import TWO_PI, make_grid, smooth_field
 
 
@@ -21,6 +26,35 @@ def minimal_config(**solver_extra):
         "initial": {"kind": "zero"},
         "solver": {"t_end": 1.0, **solver_extra},
     }
+
+
+NUMERIC_KEYS = [
+    "model.nu",
+    *(f"model.coefficients.{c}" for c in ("c_adv", "c_nl", "c_disp", "c_evo", "c_mix")),
+    "grid.L",
+    "initial.value",
+    "initial.amplitude",
+    "initial.phase",
+    "initial.width",
+    "initial.center",
+    *(f"solver.{k}" for k in ("t_end", "dt", "cfl", "snapshot_every",
+                              "breaking_slope_threshold", "tail_fraction_threshold")),
+]
+
+
+def config_holding(dotted):
+    """A valid config in which the numeric key ``dotted`` is allowed."""
+    raw = minimal_config(dt=0.01)
+    raw["model"]["coefficients"] = {"c_mix": 0.25}
+    raw["grid"]["L"] = 6.0
+    key = dotted.split(".")[-1]
+    if key == "value":
+        raw["initial"] = {"kind": "constant", "value": 0.5}
+    elif key == "phase":
+        raw["initial"] = {"kind": "mode", "k": 1, "amplitude": 0.1, "phase": 0.0}
+    else:
+        raw["initial"] = {"kind": "gaussian", "amplitude": 0.1, "width": 0.5, "center": 3.0}
+    return raw
 
 
 class TestValidateConfig:
@@ -135,6 +169,52 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
 
+    def test_load_config_not_text(self, tmp_path):
+        path = tmp_path / "bin.json"
+        path.write_bytes(b"\xff\xfe\x00{")
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(path)
+
+    def test_load_config_applies_overrides(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(minimal_config()))
+        cfg = load_config(path, ["solver.t_end=0.5", "output.directory=runs/b"])
+        assert cfg.solver.t_end == 0.5
+        assert cfg.output.directory == "runs/b"
+        assert cfg.raw["solver"]["t_end"] == 0.5
+        with pytest.raises(ConfigError, match="allow-low-nu"):
+            load_config(path, ["model.nu=0.75"])
+        assert load_config(path, ["model.nu=0.75"], allow_low_nu=True).model.nu.value == 0.75
+
+    @pytest.mark.parametrize("dotted", NUMERIC_KEYS)
+    @pytest.mark.parametrize(
+        "value",
+        ["NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="int-1e400")],
+    )
+    def test_nonfinite_number_names_key(self, dotted, value):
+        validate_config(config_holding(dotted))  # valid before the override
+        raw = apply_overrides(config_holding(dotted), [f"{dotted}={value}"])
+        with pytest.raises(ConfigError, match=f"'{dotted}' must be finite") as err:
+            validate_config(raw)
+        assert err.value.key == dotted
+
+    def test_snapshot_format_is_unknown(self):
+        raw = minimal_config()
+        raw["output"] = {"snapshot_format": "csv"}
+        with pytest.raises(ConfigError, match="unknown key 'snapshot_format'") as err:
+            validate_config(raw)
+        assert err.value.key == "output.snapshot_format"
+
+    def test_absent_keys_take_dataclass_defaults(self):
+        cfg = validate_config(minimal_config())
+        assert (cfg.solver.cfl, cfg.solver.on_breaking) == (0.5, "halt")
+        assert cfg.solver.breaking_slope_threshold == 100.0
+        assert cfg.solver.tail_fraction_threshold == 1e-4
+        assert cfg.solver.dt == "auto" and cfg.solver.snapshot_every is None
+        assert cfg.output.manifest is True
+        assert validate_config(minimal_config(dt="auto")).solver.dt == "auto"
+
+
 
 class TestOverrides:
     def test_nested_set(self):
@@ -155,6 +235,13 @@ class TestOverrides:
     def test_malformed(self):
         with pytest.raises(ConfigError):
             apply_overrides(minimal_config(), ["solver.dt"])
+
+    @pytest.mark.parametrize("cfg", [[1], 3, None])
+    def test_non_object_root(self, cfg):
+        with pytest.raises(ConfigError, match="non-object"):
+            apply_overrides(cfg, ["solver.dt=0.1"])
+        with pytest.raises(ConfigError, match="non-object"):
+            apply_overrides(cfg, ["dt=0.1"])
 
 
 class TestInitialData:
@@ -201,6 +288,23 @@ class TestInitialData:
         with pytest.raises(ConfigError, match="64"):
             build_initial(validate_config(raw).initial, make_grid(64))
 
+    def test_nonfinite_file_data_is_config_error(self, tmp_path):
+        g = make_grid(16)
+        values = ["%.17g,%s" % (x, "nan" if j == 3 else "0.5") for j, x in enumerate(g.x)]
+        (tmp_path / "snap.csv").write_text("x,u\n" + "\n".join(values) + "\n")
+        raw = minimal_config()
+        raw["initial"] = {"kind": "file", "path": str(tmp_path / "snap.csv")}
+        with pytest.raises(ConfigError, match="initial data is not finite") as err:
+            build_initial(validate_config(raw).initial, g)
+        assert err.value.key == "initial"
+
+    def test_gaussian_below_double_range_is_config_error(self):
+        raw = minimal_config()
+        # width**2 underflows to 0, so the center point evaluates 0/0
+        raw["initial"] = {"kind": "gaussian", "amplitude": 1.0, "width": 1e-200, "center": 0.0}
+        with np.errstate(all="ignore"), pytest.raises(ConfigError, match="not finite"):
+            build_initial(validate_config(raw).initial, make_grid(16))
+
 
 class TestSnapshotIO:
     def test_header_and_shape(self, tmp_path):
@@ -238,3 +342,54 @@ class TestSnapshotIO:
         xs, us = read_snapshot(path)
         assert np.array_equal(us, u.values)
         assert np.array_equal(xs, g.x)
+
+
+class _HalfWriter:
+    """A file whose first write stores half its data, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError("injected write failure")
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", ["manifest", "checkpoint"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "target"
+        g = make_grid(16)
+
+        def write(i):
+            if writer == "manifest":
+                write_manifest(path, {"i": i, "series": list(range(50))})
+            else:
+                checkpoint_write(SimulationState(t=float(i), u=RealField(g, np.full(16, i))), path)
+
+        write(1)
+        before = path.read_bytes()
+        monkeypatch.setattr(
+            timestepper, "open", lambda p, mode: _HalfWriter(builtins.open(p, mode)),
+            raising=False,
+        )
+        with pytest.raises(OSError, match="injected"):
+            write(2)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["target"]
+        monkeypatch.undo()
+        write(3)
+        assert path.read_bytes() != before
+        assert os.listdir(tmp_path) == ["target"]
+
+    def test_manifest_bytes(self, tmp_path):
+        payload = {"a": [1.0, float("nan")], "b": None}
+        write_manifest(tmp_path / "m.json", payload)
+        assert (tmp_path / "m.json").read_text() == json.dumps(payload, indent=2) + "\n"
