@@ -262,7 +262,10 @@ def cmd_sweep(args) -> int:
 
 def _write_report(path, payload) -> None:
     if path:
-        write_manifest(path, payload)
+        try:
+            write_manifest(path, payload)
+        except OSError as err:
+            raise ConfigError(f"cannot write report {path!r}: {err.strerror}") from None
     else:
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -278,59 +281,53 @@ def _sample_spec(args) -> SampleSpec:
     )
 
 
-def _refinement_ok(base_sup, refined_sups) -> bool:
-    for sup in refined_sups:
-        lo, hi = sorted((base_sup, sup))
-        if lo <= 0 or hi / lo >= 2.0:
-            return False
-    return True
+def _diagnose_samples(args, spec, sample, refinements) -> int:
+    """Report ``sample(spec)``; with --check-refinement, also run ``sample``
+    once per ``{report key: spec change}`` entry, in order, and pass only
+    if each refined sup ratio is within a factor two of the base one."""
+    report = sample(spec)
+    payload = report.to_dict()
+    ok = np.isfinite(report.sup_ratio)
+    if args.check_refinement:
+        refined = {key: sample(replace(spec, **change)).sup_ratio
+                   for key, change in refinements.items()}
+        payload["refinement"] = refined
+        for sup in refined.values():
+            lo, hi = sorted((report.sup_ratio, sup))
+            ok = ok and not (lo <= 0 or hi / lo >= 2.0)
+    payload["pass"] = bool(ok)
+    _write_report(args.out, payload)
+    return EXIT_OK if ok else EXIT_USAGE
 
 
 def cmd_diagnose_commutator(args) -> int:
     spec = _sample_spec(args)
-    report = commutator_estimate_sample(args.m, args.s, args.sigma, args.nu, spec)
-    payload = report.to_dict()
-    ok = np.isfinite(report.sup_ratio)
-    if args.check_refinement:
-        finer_grid = Grid(spec.grid.length, 2 * spec.grid.n_points)
-        refined = [
-            commutator_estimate_sample(
-                args.m, args.s, args.sigma, args.nu, replace(spec, grid=finer_grid)
-            ),
-            commutator_estimate_sample(
-                args.m, args.s, args.sigma, args.nu,
-                replace(spec, n_samples=2 * spec.n_samples),
-            ),
-        ]
-        payload["refinement"] = {
-            "grid_doubled_sup": refined[0].sup_ratio,
-            "samples_doubled_sup": refined[1].sup_ratio,
-        }
-        ok = ok and _refinement_ok(report.sup_ratio, [r.sup_ratio for r in refined])
-    payload["pass"] = bool(ok)
-    _write_report(args.out, payload)
-    return EXIT_OK if ok else EXIT_USAGE
+    return _diagnose_samples(
+        args, spec,
+        lambda sp: commutator_estimate_sample(args.m, args.s, args.sigma, args.nu, sp),
+        {"grid_doubled_sup": {"grid": replace(spec.grid, n_points=2 * spec.grid.n_points)},
+         "samples_doubled_sup": {"n_samples": 2 * spec.n_samples}},
+    )
 
 
 def cmd_diagnose_lipschitz(args) -> int:
     spec = _sample_spec(args)
-    report = kato_lipschitz_sample(args.which, args.s, args.nu, spec)
-    payload = report.to_dict()
-    ok = np.isfinite(report.sup_ratio)
-    if args.check_refinement:
-        finer = replace(spec, grid=Grid(spec.grid.length, 2 * spec.grid.n_points))
-        refined = kato_lipschitz_sample(args.which, args.s, args.nu, finer)
-        payload["refinement"] = {"grid_doubled_sup": refined.sup_ratio}
-        ok = ok and _refinement_ok(report.sup_ratio, [refined.sup_ratio])
-    payload["pass"] = bool(ok)
-    _write_report(args.out, payload)
-    return EXIT_OK if ok else EXIT_USAGE
+    return _diagnose_samples(
+        args, spec,
+        lambda sp: kato_lipschitz_sample(args.which, args.s, args.nu, sp),
+        {"grid_doubled_sup": {"grid": replace(spec.grid, n_points=2 * spec.grid.n_points)}},
+    )
 
 
 def cmd_diagnose_dependence(args) -> int:
     run_cfg = load_config(args.config, args.set or (), args.allow_low_nu)
     u0 = build_initial(run_cfg.initial, run_cfg.grid)
-    deltas = [float(d) for d in args.deltas.split(",") if d.strip()]
+    deltas = []
+    for item in filter(None, (d.strip() for d in args.deltas.split(","))):
+        try:
+            deltas.append(float(item))
+        except ValueError:
+            raise ConfigError(f"dependence delta {item!r} is not a number") from None
     if not deltas:
         raise ConfigError("dependence needs a non-empty --deltas list")
     reports = [

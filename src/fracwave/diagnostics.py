@@ -8,7 +8,11 @@ finite, scale-invariant where the estimate is homogeneous, and stable
 
 All samplers draw band-limited random fields: independent uniform phases
 under a |k|^-2 amplitude envelope, rescaled to a requested Sobolev norm.
-Every report is bit-reproducible from (spec, parameters).
+A sample whose denominator is below 1e-13 is counted in
+``skipped_zero_denominator`` and never divided.  Draws are sequential from
+one generator seeded with ``spec.seed``, so every report is bit-reproducible
+from (spec, parameters) and an n-sample report's ratios are a prefix of the
+2n-sample report's with the same seed.
 """
 
 from __future__ import annotations
@@ -105,6 +109,24 @@ def _scaled_sample(grid, band, rng, norm_index, target) -> RealField:
     return RealField(grid, u.values * (target / n))
 
 
+def _diff_norm(a: RealField, b: RealField, s: float) -> float:
+    return sobolev_norm(RealField(a.grid, a.values - b.values), s)
+
+
+def _sample_report(estimate, params, spec: SampleSpec, draw) -> DiagnosticsReport:
+    """Ratios of ``spec.n_samples`` sequential ``draw(rng) -> (num, denom)``
+    calls on one seeded generator; a round-off denominator is skipped."""
+    rng = np.random.default_rng(spec.seed)
+    ratios, skipped = [], 0
+    for _ in range(spec.n_samples):
+        num, denom = draw(rng)
+        if denom < _ZERO_DENOM:
+            skipped += 1
+        else:
+            ratios.append(num / denom)
+    return DiagnosticsReport(estimate, ratios, skipped, spec, params)
+
+
 # -- commutator estimate ---------------------------------------------------
 
 def commutator_estimate_sample(
@@ -129,27 +151,18 @@ def commutator_estimate_sample(
             f"commutator estimate needs s + m <= sigma, got {s + m} > {sigma}"
         )
     grid = spec.grid
-    rng = np.random.default_rng(spec.seed)
-    ratios, skipped = [], 0
-    for _ in range(spec.n_samples):
+
+    def draw(rng):
         f = _scaled_sample(grid, spec.band_limit, rng, sigma, spec.amplitude)
         g = _scaled_sample(grid, spec.band_limit, rng, s + m - 1.0, spec.amplitude)
-        denom = sobolev_norm(f, sigma) * sobolev_norm(g, s + m - 1.0)
-        if denom < _ZERO_DENOM:
-            skipped += 1
-            continue
-        lam_g = lambda_pow(g, m, nu)
-        bracket = masked_product(grid, f.values, lam_g.values) - lambda_pow(
+        bracket = masked_product(grid, f.values, lambda_pow(g, m, nu).values) - lambda_pow(
             RealField(grid, masked_product(grid, f.values, g.values)), m, nu
         ).values
-        ratios.append(sobolev_norm(RealField(grid, bracket), s) / denom)
-    return DiagnosticsReport(
-        estimate="commutator",
-        ratios=ratios,
-        skipped=skipped,
-        spec=spec,
-        params={"m": m, "s": s, "sigma": sigma, "nu": nu.value},
-    )
+        return (sobolev_norm(RealField(grid, bracket), s),
+                sobolev_norm(f, sigma) * sobolev_norm(g, s + m - 1.0))
+
+    return _sample_report("commutator", {"m": m, "s": s, "sigma": sigma, "nu": nu.value},
+                          spec, draw)
 
 
 # -- Lipschitz / boundedness constants of the quasi-linear pieces ----------
@@ -192,62 +205,31 @@ def kato_lipschitz_sample(which, s: float, nu, spec: SampleSpec) -> DiagnosticsR
         raise ParameterError(
             f"Lipschitz probes need s > 2 nu + 1/2 = {2 * nu.value + 0.5}, got s={s}"
         )
-    grid = spec.grid
-    rng = np.random.default_rng(spec.seed)
-    radius = spec.amplitude
-    ratios, skipped = [], 0
+    grid, band = spec.grid, spec.band_limit
 
-    def ball_draw():
-        return _scaled_sample(
-            grid, spec.band_limit, rng, s, radius * rng.uniform(0.2, 1.0)
-        )
+    def ball_draw(rng):
+        return _scaled_sample(grid, band, rng, s, spec.amplitude * rng.uniform(0.2, 1.0))
 
-    for _ in range(spec.n_samples):
-        u = ball_draw()
-        if which in (LipschitzKind.A_LIP, LipschitzKind.B_LIP,
-                     LipschitzKind.F_LIP_X, LipschitzKind.F_LIP_Y):
-            v = ball_draw()
-            diff = RealField(grid, u.values - v.values)
+    # every report's numbers rest on this draw order: u, v (not for b-bound), then z or w
+    def draw(rng):
+        u = ball_draw(rng)
+        if which is LipschitzKind.B_BOUND:
+            w = _scaled_sample(grid, band, rng, s - 1.0, 1.0)
+            return sobolev_norm(apply_B(u, w, nu), s - 1.0), sobolev_norm(w, s - 1.0)
+        v = ball_draw(rng)
         if which is LipschitzKind.A_LIP:
-            z = _scaled_sample(grid, spec.band_limit, rng, s, 1.0)
-            denom = sobolev_norm(diff, s - 1.0) * sobolev_norm(z, s)
-            num = sobolev_norm(
-                RealField(grid, apply_A(u, z, nu).values - apply_A(v, z, nu).values),
-                s - 1.0,
-            )
-        elif which is LipschitzKind.B_BOUND:
-            w = _scaled_sample(grid, spec.band_limit, rng, s - 1.0, 1.0)
-            denom = sobolev_norm(w, s - 1.0)
-            num = sobolev_norm(apply_B(u, w, nu), s - 1.0)
-        elif which is LipschitzKind.B_LIP:
-            w = _scaled_sample(grid, spec.band_limit, rng, s - 1.0, 1.0)
-            denom = sobolev_norm(diff, s) * sobolev_norm(w, s - 1.0)
-            num = sobolev_norm(
-                RealField(grid, apply_B(u, w, nu).values - apply_B(v, w, nu).values),
-                s - 1.0,
-            )
-        elif which is LipschitzKind.F_LIP_X:
-            denom = sobolev_norm(diff, s - 1.0)
-            num = sobolev_norm(
-                RealField(grid, apply_f(u, nu).values - apply_f(v, nu).values),
-                s - 1.0,
-            )
-        else:  # F_LIP_Y
-            denom = sobolev_norm(diff, s)
-            num = sobolev_norm(
-                RealField(grid, apply_f(u, nu).values - apply_f(v, nu).values), s
-            )
-        if denom < _ZERO_DENOM:
-            skipped += 1
-            continue
-        ratios.append(num / denom)
-    return DiagnosticsReport(
-        estimate=f"kato-{which.value}",
-        ratios=ratios,
-        skipped=skipped,
-        spec=spec,
-        params={"which": which.value, "s": s, "nu": nu.value},
-    )
+            z = _scaled_sample(grid, band, rng, s, 1.0)
+            return (_diff_norm(apply_A(u, z, nu), apply_A(v, z, nu), s - 1.0),
+                    _diff_norm(u, v, s - 1.0) * sobolev_norm(z, s))
+        if which is LipschitzKind.B_LIP:
+            w = _scaled_sample(grid, band, rng, s - 1.0, 1.0)
+            return (_diff_norm(apply_B(u, w, nu), apply_B(v, w, nu), s - 1.0),
+                    _diff_norm(u, v, s) * sobolev_norm(w, s - 1.0))
+        index = s - 1.0 if which is LipschitzKind.F_LIP_X else s
+        return _diff_norm(apply_f(u, nu), apply_f(v, nu), index), _diff_norm(u, v, index)
+
+    return _sample_report(f"kato-{which.value}", {"which": which.value, "s": s, "nu": nu.value},
+                          spec, draw)
 
 
 # -- continuous dependence on initial data ---------------------------------
@@ -275,16 +257,6 @@ class DependenceReport:
         }
 
 
-class _Collector:
-    def __init__(self):
-        self.times = []
-        self.fields = []
-
-    def __call__(self, t, u):
-        self.times.append(t)
-        self.fields.append(u)
-
-
 def continuous_dependence_experiment(
     u0: RealField,
     delta: float,
@@ -310,8 +282,8 @@ def continuous_dependence_experiment(
     dt, _ = resolve_dt(u0, model, config, config.t_end)
     run_cfg = replace(config, dt=dt, snapshot_every=dt)
 
-    base = _Collector()
-    base_result = integrate(u0, model, run_cfg, sink=base)
+    base = []
+    base_result = integrate(u0, model, run_cfg, sink=lambda t, u: base.append(u))
     if base_result.outcome is not Outcome.COMPLETED:
         return DependenceReport(delta, [], n_pairs, n_pairs, s - 1.0)
 
@@ -320,22 +292,17 @@ def continuous_dependence_experiment(
     for _ in range(n_pairs):
         p = _scaled_sample(grid, band, rng, s - 1.0, delta)
         perturbed0 = RealField(grid, u0.values + p.values)
-        d0 = sobolev_norm(
-            RealField(grid, perturbed0.values - u0.values), s - 1.0
-        )
+        d0 = _diff_norm(perturbed0, u0, s - 1.0)
         if d0 < _ZERO_DENOM:
             censored += 1
             continue
-        coll = _Collector()
-        result = integrate(perturbed0, model, run_cfg, sink=coll)
-        if result.outcome is not Outcome.COMPLETED or len(coll.fields) != len(base.fields):
+        gaps = []  # both runs share run_cfg: snapshot i is at the time of base[i]
+        result = integrate(perturbed0, model, run_cfg,
+                           sink=lambda t, u: gaps.append(_diff_norm(u, base[len(gaps)], s - 1.0)))
+        if result.outcome is not Outcome.COMPLETED or len(gaps) != len(base):
             censored += 1
             continue
-        sup = 0.0
-        for ub, up in zip(base.fields, coll.fields):
-            diff = sobolev_norm(RealField(grid, up.values - ub.values), s - 1.0)
-            sup = max(sup, diff / d0)
-        g_values.append(sup)
+        g_values.append(max(gaps) / d0)
     return DependenceReport(delta, g_values, censored, n_pairs, s - 1.0)
 
 

@@ -505,8 +505,11 @@ def write_atomic(path, data: bytes) -> None:
 
 
 def checkpoint_read(path) -> SimulationState:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as err:
+        raise CheckpointError(f"cannot read checkpoint {path}: {err.strerror}") from None
     if len(blob) < _HEADER.size + 4:
         raise CheckpointError(f"checkpoint {path} is truncated ({len(blob)} bytes)")
     body, (crc_stored,) = blob[:-4], struct.unpack("<I", blob[-4:])

@@ -352,6 +352,34 @@ class TestDiagnoseCommands:
             for g_val in rep["g_values"]:
                 assert g_val == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("command", [
+        ["commutator", "--samples", "5", "--n", "32", "--band", "8"],
+        ["convergence", "--kind", "box-size"],
+    ])
+    def test_report_under_a_regular_file_exit_1(self, tmp_path, capsys, command):
+        (tmp_path / "file").write_text("")
+        cfg = {
+            "model": {"kind": "fch", "nu": 1.0},
+            "grid": {"N": 16},
+            "initial": {"kind": "gaussian", "amplitude": 0.3, "width": 0.5},
+            "solver": {"t_end": 0.02, "dt": 0.01},
+        }
+        if command[0] == "convergence":
+            command = command + ["--config", write_config(tmp_path / "c.json", cfg)]
+        report = tmp_path / "file" / "r.json"
+        assert main(["diagnose"] + command + ["--out", str(report)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write report")
+        assert str(report) in lines[0] and ".tmp" not in lines[0]
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_dependence_delta_not_a_number_exit_1(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "c.json", base_config(tmp_path / "out"))
+        code = main(["diagnose", "dependence", "--config", cfg_path, "--deltas", "x,0.1"])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: dependence delta 'x' is not a number"]
+
     def test_convergence_box_size(self, tmp_path):
         cfg = {
             "model": {"kind": "fch", "nu": 1.0},
@@ -419,6 +447,18 @@ class TestResume:
         assert main([
             "resume", "--config", cfg_path, "--checkpoint", str(ck),
         ]) == 1
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_checkpoint_exit_1(self, tmp_path, capsys, kind):
+        cfg_path = write_config(tmp_path / "c.json", base_config(tmp_path / "out"))
+        ck = tmp_path / "ck.fwck"
+        if kind == "directory":
+            ck.mkdir()
+        assert main(["resume", "--config", cfg_path, "--checkpoint", str(ck)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: cannot read checkpoint {ck}")
+        assert not (tmp_path / "out").exists()
 
     def test_resume_from_t0_matches_fresh(self, tmp_path):
         cfg = base_config(

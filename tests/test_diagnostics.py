@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracwave import (
     Coefficients,
@@ -20,6 +24,7 @@ from fracwave import (
 )
 from fracwave.diagnostics import StudyKind
 from fracwave.operators import lambda_pow, masked_product
+from fracwave.timestepper import resolve_dt
 from conftest import TWO_PI, make_grid
 
 
@@ -109,6 +114,14 @@ class TestCommutatorEstimate:
         lo, hi = sorted((r1.sup_ratio, r2.sup_ratio))
         assert hi / lo < 2.0
 
+    def test_zero_denominators_skipped_and_counted(self):
+        # both norms scale with the amplitude, so their product falls under
+        # the zero-denominator floor
+        r = commutator_estimate_sample(1.0, 2.0, 3.0, 1.0, spec(amplitude=1e-14))
+        assert r.ratios == []
+        assert r.skipped == 20
+        assert r.sup_ratio == 0.0
+
 
 class TestKatoLipschitz:
     def test_index_validation(self):
@@ -126,10 +139,11 @@ class TestKatoLipschitz:
         assert np.isfinite(r.sup_ratio)
         assert r.sup_ratio > 0
 
-    def test_zero_denominators_skipped_and_counted(self):
+    @pytest.mark.parametrize("which", ["f-lip-x", "a-lip", "b-lip", "f-lip-y"])
+    def test_zero_denominators_skipped_and_counted(self, which):
         # a degenerate ball radius drives every ||u - v|| under the
         # zero-denominator floor; such samples are skipped, not divided
-        r = kato_lipschitz_sample("f-lip-x", 2.6, 1.0, spec(amplitude=1e-14))
+        r = kato_lipschitz_sample(which, 2.6, 1.0, spec(amplitude=1e-14))
         assert r.ratios == []
         assert r.skipped == 20
         assert r.sup_ratio == 0.0
@@ -146,6 +160,27 @@ class TestKatoLipschitz:
         a = kato_lipschitz_sample("a-lip", 2.6, 1.0, spec())
         b = kato_lipschitz_sample("a-lip", 2.6, 1.0, spec())
         assert a.ratios == b.ratios
+
+
+SAMPLERS = {
+    "commutator": lambda sp: commutator_estimate_sample(1.0, 2.0, 3.0, 1.0, sp),
+    **{which: (lambda sp, which=which: kato_lipschitz_sample(which, 2.6, 1.0, sp))
+       for which in ("a-lip", "b-bound", "b-lip", "f-lip-x", "f-lip-y")},
+}
+
+
+class TestSequentialDraws:
+    # the samples-doubled refinement compares a report with its own
+    # extension: the first k draws of a 2k-sample set are the k-sample set
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4))
+    def test_k_samples_are_a_prefix_of_2k(self, seed, k):
+        sp = spec(n=32, samples=k, band=8, seed=seed)
+        for name, sample in SAMPLERS.items():
+            short = sample(sp).ratios
+            long = sample(replace(sp, n_samples=2 * k)).ratios
+            assert len(short) == k, name
+            assert long[:k] == short, name
 
 
 class TestContinuousDependence:
@@ -184,6 +219,42 @@ class TestContinuousDependence:
             assert all(np.isfinite(gv) and gv >= 1.0 - 1e-10 for gv in r.g_values)
         ratio = reports[0].max_g / reports[1].max_g
         assert 0.5 < ratio < 2.0
+
+    def test_g_matches_stored_trajectories(self):
+        # G from the whole stored trajectories: sup over t of the
+        # H^{s-1} gap over d0, with the experiment's draws and time grid
+        g = make_grid(32)
+        u0 = RealField(g, 0.3 * np.sin(g.x) + 0.1 * np.cos(2 * g.x))
+        p = make_params("fch", 1.0)
+        cfg = SolverConfig(t_end=0.2, dt="auto")
+        s, delta, band, seed = 3.0, 1e-3, 5, 4
+        report = continuous_dependence_experiment(
+            u0, delta, 3, p, cfg, s, seed=seed, band_limit=band
+        )
+        dt, _ = resolve_dt(u0, p, cfg, cfg.t_end)
+        run_cfg = replace(cfg, dt=dt, snapshot_every=dt)
+
+        def trajectory(v0):
+            fields = []
+            integrate(v0, p, run_cfg, sink=lambda t, u: fields.append(u))
+            return fields
+
+        def norm_of_difference(a, b):
+            return sobolev_norm(RealField(g, a.values - b.values), s - 1.0)
+
+        base = trajectory(u0)
+        rng = np.random.default_rng(seed)
+        expected = []
+        for _ in range(3):
+            w = random_band_limited(g, band, rng)
+            w_values = w.values * (delta / sobolev_norm(w, s - 1.0))
+            v0 = RealField(g, u0.values + w_values)
+            d0 = norm_of_difference(v0, u0)
+            other = trajectory(v0)
+            assert len(other) == len(base) > 2
+            expected.append(max(norm_of_difference(b, a) / d0 for a, b in zip(base, other)))
+        assert report.censored == 0
+        assert report.g_values == expected
 
     def test_reproducible(self):
         g = make_grid(64)
