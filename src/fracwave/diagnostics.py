@@ -13,6 +13,16 @@ A sample whose denominator is below 1e-13 is counted in
 one generator seeded with ``spec.seed``, so every report is bit-reproducible
 from (spec, parameters) and an n-sample report's ratios are a prefix of the
 2n-sample report's with the same seed.
+
+Draws are evaluated as array programs, ``max(1, 4096 // N)`` samples (or
+dependence pairs) at a time: a chunk takes its doubles in one
+``rng.uniform`` call laid out in the sequential draw order and runs every
+operator on (rows, N) arrays.  Because each row of a transform equals the
+transform of that row alone, the stream, the ratios and G are bit-identical
+to drawing and evaluating one field at a time.  The same finiteness
+checks raise ``BlowUpError``; a chunk that raises is drawn again a row at
+a time, so the error (and the grid index it names) is the one of the
+first failing sample, as one field at a time.
 """
 
 from __future__ import annotations
@@ -22,11 +32,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import BlowUpError, ParameterError
 from .models import ModelParams
-from .operators import as_order, lambda_pow, apply_A, apply_B, apply_f, masked_product
-from .spectral import Grid, RealField, coeffs_of, sobolev_norm, values_of
-from .timestepper import Outcome, SolverConfig, integrate, resolve_dt
+from .operators import OperatorPlan, as_order, masked_product
+from .spectral import (
+    Grid,
+    RealField,
+    coeffs_of,
+    require_finite,
+    sobolev_norms,
+    sobolev_weight,
+    values_of,
+)
+from .timestepper import Outcome, SolverConfig, integrate, integrate_batch, resolve_dt
 
 _ZERO_DENOM = 1e-13
 
@@ -93,37 +111,102 @@ class DiagnosticsReport:
 
 def random_band_limited(grid: Grid, band_limit: int, rng) -> RealField:
     """One smooth random field: uniform phases, |k|^-2 envelope, zero mean."""
+    _check_band(grid, band_limit)
+    return RealField(grid, _band_limited(grid, rng.uniform(0.0, 2.0 * np.pi, band_limit)))
+
+
+def _check_band(grid: Grid, band_limit: int) -> None:
     if band_limit < 1 or 2 * band_limit >= grid.n_points:
         raise ParameterError(f"band_limit {band_limit} does not fit grid N={grid.n_points}")
-    coeffs = np.zeros(grid.n_points, dtype=np.complex128)
-    idx = np.arange(1, band_limit + 1)
-    phases = rng.uniform(0.0, 2.0 * np.pi, band_limit)
-    coeffs[idx] = np.abs(grid.k[idx]) ** -2.0 * np.exp(1j * phases)
-    coeffs[-idx] = np.conj(coeffs[idx])
-    return RealField(grid, values_of(coeffs))
 
 
-def _scaled_sample(grid, band, rng, norm_index, target) -> RealField:
-    u = random_band_limited(grid, band, rng)
-    n = sobolev_norm(u, norm_index)
-    return RealField(grid, u.values * (target / n))
+def _band_limited(grid: Grid, phases: np.ndarray) -> np.ndarray:
+    """Values of the fields of ``random_band_limited`` with the given
+    phases, shape (..., band) -> (..., N)."""
+    coeffs = np.zeros(phases.shape[:-1] + (grid.n_points,), dtype=np.complex128)
+    idx = np.arange(1, phases.shape[-1] + 1)
+    coeffs[..., idx] = np.abs(grid.k[idx]) ** -2.0 * np.exp(1j * phases)
+    coeffs[..., -idx] = np.conj(coeffs[..., idx])
+    return values_of(coeffs)
 
 
-def _diff_norm(a: RealField, b: RealField, s: float) -> float:
-    return sobolev_norm(RealField(a.grid, a.values - b.values), s)
+# A chunk of draws holds about this many grid values per field: enough rows
+# to amortize numpy's per-call cost, few enough to keep the peak memory of
+# a report that of one field at a time.
+_BATCH_ELEMENTS = 4096
+
+
+def _chunk_rows(grid: Grid) -> int:
+    return max(1, _BATCH_ELEMENTS // grid.n_points)
+
+
+class _Fields:
+    """Seeded random fields on one grid, a chunk of rows at a time.
+
+    ``draw`` takes a chunk's doubles in one ``rng.uniform`` call whose
+    per-column bounds lay out the sequential draw order, so the stream is
+    the one ``random_band_limited`` and ``rng.uniform(0.2, 1.0)`` would
+    consume field by field.  Every array a field-at-a-time evaluation
+    would hold in a ``RealField`` passes ``require_finite``.
+    """
+
+    def __init__(self, grid: Grid, band: int):
+        _check_band(grid, band)
+        self.grid, self.band = grid, band
+        self._weights = {}
+
+    def draw(self, rng, rows: int, layout) -> list:
+        """One block of doubles per entry of ``layout``, in order: (rows, 1)
+        ball radii U(0.2, 1) for "radius", (rows, band) phases U(0, 2 pi)
+        for "phases"."""
+        bounds = {"radius": (0.2, 1.0, 1), "phases": (0.0, 2.0 * np.pi, self.band)}
+        low, high, widths = zip(*(bounds[entry] for entry in layout))
+        draws = rng.uniform(np.repeat(low, widths), np.repeat(high, widths),
+                            (rows, sum(widths)))
+        return np.split(draws, np.cumsum(widths)[:-1], axis=1)
+
+    def norm(self, values: np.ndarray, s: float) -> np.ndarray:
+        weight = self._weights.get(s)
+        if weight is None:
+            weight = self._weights[s] = sobolev_weight(self.grid, s)
+        return sobolev_norms(self.grid, coeffs_of(values), weight)
+
+    def diff_norm(self, a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
+        return self.norm(require_finite(a - b), s)
+
+    def scaled(self, phases: np.ndarray, s: float, target) -> np.ndarray:
+        """Fields rescaled to H^s norm ``target`` (a number or one per row)."""
+        u = require_finite(_band_limited(self.grid, phases))
+        return require_finite(u * (target / self.norm(u, s))[:, None])
+
+
+def _draw_chunk(draw, rng, rows: int):
+    """``draw(rng, rows)``.  When it raises ``BlowUpError``, the chunk is
+    drawn again a row at a time from the same point of the stream, so the
+    error raised is that of the first failing row's first failing check,
+    as in a field-at-a-time evaluation."""
+    before = rng.bit_generator.state
+    try:
+        return draw(rng, rows)
+    except BlowUpError:
+        rng.bit_generator.state = before
+        for _ in range(rows):
+            draw(rng, 1)
+        raise
 
 
 def _sample_report(estimate, params, spec: SampleSpec, draw) -> DiagnosticsReport:
-    """Ratios of ``spec.n_samples`` sequential ``draw(rng) -> (num, denom)``
-    calls on one seeded generator; a round-off denominator is skipped."""
+    """Ratios of ``spec.n_samples`` draws on one seeded generator, taken a
+    chunk of ``rows`` at a time by ``draw(rng, rows) -> (num, denom)``
+    arrays; a round-off denominator is skipped."""
     rng = np.random.default_rng(spec.seed)
+    rows = _chunk_rows(spec.grid)
     ratios, skipped = [], 0
-    for _ in range(spec.n_samples):
-        num, denom = draw(rng)
-        if denom < _ZERO_DENOM:
-            skipped += 1
-        else:
-            ratios.append(num / denom)
+    for done in range(0, spec.n_samples, rows):
+        num, denom = _draw_chunk(draw, rng, min(rows, spec.n_samples - done))
+        skip = denom < _ZERO_DENOM
+        skipped += int(skip.sum())
+        ratios.extend((num[~skip] / denom[~skip]).tolist())
     return DiagnosticsReport(estimate, ratios, skipped, spec, params)
 
 
@@ -151,15 +234,16 @@ def commutator_estimate_sample(
             f"commutator estimate needs s + m <= sigma, got {s + m} > {sigma}"
         )
     grid = spec.grid
+    fields, ops = _Fields(grid, spec.band_limit), OperatorPlan(grid, nu.value)
 
-    def draw(rng):
-        f = _scaled_sample(grid, spec.band_limit, rng, sigma, spec.amplitude)
-        g = _scaled_sample(grid, spec.band_limit, rng, s + m - 1.0, spec.amplitude)
-        bracket = masked_product(grid, f.values, lambda_pow(g, m, nu).values) - lambda_pow(
-            RealField(grid, masked_product(grid, f.values, g.values)), m, nu
-        ).values
-        return (sobolev_norm(RealField(grid, bracket), s),
-                sobolev_norm(f, sigma) * sobolev_norm(g, s + m - 1.0))
+    def draw(rng, rows):
+        f_phases, g_phases = fields.draw(rng, rows, ("phases", "phases"))
+        f = fields.scaled(f_phases, sigma, spec.amplitude)
+        g = fields.scaled(g_phases, s + m - 1.0, spec.amplitude)
+        f_lam_g = masked_product(grid, f, require_finite(ops.lambda_pow(g, m)))
+        lam_fg = require_finite(ops.lambda_pow(require_finite(masked_product(grid, f, g)), m))
+        return (fields.norm(require_finite(f_lam_g - lam_fg), s),
+                fields.norm(f, sigma) * fields.norm(g, s + m - 1.0))
 
     return _sample_report("commutator", {"m": m, "s": s, "sigma": sigma, "nu": nu.value},
                           spec, draw)
@@ -205,28 +289,41 @@ def kato_lipschitz_sample(which, s: float, nu, spec: SampleSpec) -> DiagnosticsR
         raise ParameterError(
             f"Lipschitz probes need s > 2 nu + 1/2 = {2 * nu.value + 0.5}, got s={s}"
         )
-    grid, band = spec.grid, spec.band_limit
+    fields, ops = _Fields(spec.grid, spec.band_limit), OperatorPlan(spec.grid, nu.value)
+    # every report's numbers rest on this draw order: u, v (not for b-bound),
+    # then z or w; each ball field's radius comes before its phases
+    layout = ("radius", "phases") + {
+        LipschitzKind.B_BOUND: ("phases",),
+        LipschitzKind.A_LIP: ("radius", "phases", "phases"),
+        LipschitzKind.B_LIP: ("radius", "phases", "phases"),
+    }.get(which, ("radius", "phases"))
 
-    def ball_draw(rng):
-        return _scaled_sample(grid, band, rng, s, spec.amplitude * rng.uniform(0.2, 1.0))
+    def A(u, z):
+        return require_finite(ops.apply_A(u, z))
 
-    # every report's numbers rest on this draw order: u, v (not for b-bound), then z or w
-    def draw(rng):
-        u = ball_draw(rng)
+    def B(u, w):
+        return require_finite(ops.apply_B(u, w))
+
+    def f(u):
+        return require_finite(ops.apply_f(u))
+
+    def draw(rng, rows):
+        blocks = fields.draw(rng, rows, layout)
+        u = fields.scaled(blocks[1], s, spec.amplitude * blocks[0][:, 0])
         if which is LipschitzKind.B_BOUND:
-            w = _scaled_sample(grid, band, rng, s - 1.0, 1.0)
-            return sobolev_norm(apply_B(u, w, nu), s - 1.0), sobolev_norm(w, s - 1.0)
-        v = ball_draw(rng)
+            w = fields.scaled(blocks[2], s - 1.0, 1.0)
+            return fields.norm(B(u, w), s - 1.0), fields.norm(w, s - 1.0)
+        v = fields.scaled(blocks[3], s, spec.amplitude * blocks[2][:, 0])
         if which is LipschitzKind.A_LIP:
-            z = _scaled_sample(grid, band, rng, s, 1.0)
-            return (_diff_norm(apply_A(u, z, nu), apply_A(v, z, nu), s - 1.0),
-                    _diff_norm(u, v, s - 1.0) * sobolev_norm(z, s))
+            z = fields.scaled(blocks[4], s, 1.0)
+            return (fields.diff_norm(A(u, z), A(v, z), s - 1.0),
+                    fields.diff_norm(u, v, s - 1.0) * fields.norm(z, s))
         if which is LipschitzKind.B_LIP:
-            w = _scaled_sample(grid, band, rng, s - 1.0, 1.0)
-            return (_diff_norm(apply_B(u, w, nu), apply_B(v, w, nu), s - 1.0),
-                    _diff_norm(u, v, s) * sobolev_norm(w, s - 1.0))
+            w = fields.scaled(blocks[4], s - 1.0, 1.0)
+            return (fields.diff_norm(B(u, w), B(v, w), s - 1.0),
+                    fields.diff_norm(u, v, s) * fields.norm(w, s - 1.0))
         index = s - 1.0 if which is LipschitzKind.F_LIP_X else s
-        return _diff_norm(apply_f(u, nu), apply_f(v, nu), index), _diff_norm(u, v, index)
+        return fields.diff_norm(f(u), f(v), index), fields.diff_norm(u, v, index)
 
     return _sample_report(f"kato-{which.value}", {"which": which.value, "s": s, "nu": nu.value},
                           spec, draw)
@@ -251,7 +348,8 @@ class DependenceReport:
             "delta": self.delta,
             "n_pairs": self.n_pairs,
             "censored": self.censored,
-            "max_g": self.max_g,
+            # null when every pair is censored: JSON has no NaN
+            "max_g": self.max_g if self.g_values else None,
             "g_values": list(self.g_values),
             "norm_index": self.norm_index,
         }
@@ -271,10 +369,15 @@ def continuous_dependence_experiment(
 
     Each pair is (u0, u0 + delta * p) with p a random band-limited field
     of unit H^{s-1} norm.  Pairs whose trajectory breaks or blows up
-    before t_end are censored (reported, not hidden).
+    before t_end are censored (reported, not hidden).  The base runs
+    first; the perturbed runs go through ``integrate_batch`` a chunk of
+    pairs at a time, each compared with the base snapshot of the same
+    index as it arrives.
     """
     if not (np.isfinite(delta) and delta > 0):
         raise ParameterError(f"perturbation scale must be positive, got {delta}")
+    if n_pairs < 1:
+        raise ParameterError(f"dependence needs at least one pair, got {n_pairs}")
     grid = u0.grid
     band = band_limit if band_limit is not None else max(2, grid.n_points // 6)
     # Fix dt once from the unperturbed data so all trajectories share a
@@ -283,26 +386,44 @@ def continuous_dependence_experiment(
     run_cfg = replace(config, dt=dt, snapshot_every=dt)
 
     base = []
-    base_result = integrate(u0, model, run_cfg, sink=lambda t, u: base.append(u))
+    base_result = integrate(u0, model, run_cfg, sink=lambda t, u: base.append(u.values))
     if base_result.outcome is not Outcome.COMPLETED:
         return DependenceReport(delta, [], n_pairs, n_pairs, s - 1.0)
+    base = np.stack(base)
+
+    fields = _Fields(grid, band)
+
+    def draw(rng, rows):
+        (phases,) = fields.draw(rng, rows, ("phases",))
+        perturbed0 = require_finite(u0.values + fields.scaled(phases, s - 1.0, delta))
+        return perturbed0, fields.diff_norm(perturbed0, u0.values, s - 1.0)
 
     rng = np.random.default_rng(seed)
+    rows = _chunk_rows(grid)
     g_values, censored = [], 0
-    for _ in range(n_pairs):
-        p = _scaled_sample(grid, band, rng, s - 1.0, delta)
-        perturbed0 = RealField(grid, u0.values + p.values)
-        d0 = _diff_norm(perturbed0, u0, s - 1.0)
-        if d0 < _ZERO_DENOM:
-            censored += 1
+    for done in range(0, n_pairs, rows):
+        perturbed0, d0 = _draw_chunk(draw, rng, min(rows, n_pairs - done))
+        run = ~(d0 < _ZERO_DENOM)
+        censored += int((~run).sum())
+        if not run.any():
             continue
-        gaps = []  # both runs share run_cfg: snapshot i is at the time of base[i]
-        result = integrate(perturbed0, model, run_cfg,
-                           sink=lambda t, u: gaps.append(_diff_norm(u, base[len(gaps)], s - 1.0)))
-        if result.outcome is not Outcome.COMPLETED or len(gaps) != len(base):
-            censored += 1
-            continue
-        g_values.append(max(gaps) / d0)
+        d0 = d0[run]
+        # both runs share run_cfg: a row's snapshot i is at the time of base[i]
+        snaps = np.zeros(len(d0), dtype=int)
+        sup_gap = np.full(len(d0), -np.inf)
+
+        def sink(t, pairs, values):
+            gaps = fields.diff_norm(values, base[snaps[pairs]], s - 1.0)
+            sup_gap[pairs] = np.maximum(sup_gap[pairs], gaps)
+            snaps[pairs] += 1
+
+        results = integrate_batch([RealField(grid, v) for v in perturbed0[run]],
+                                  model, run_cfg, sink)
+        for result, n_snaps, g in zip(results, snaps, (sup_gap / d0).tolist()):
+            if result.outcome is not Outcome.COMPLETED or n_snaps != len(base):
+                censored += 1
+            else:
+                g_values.append(g)
     return DependenceReport(delta, g_values, censored, n_pairs, s - 1.0)
 
 

@@ -166,11 +166,15 @@ class SpectralRHS:
             self._rows = None
 
     def __call__(self, u_hat: np.ndarray) -> np.ndarray:
+        """du/dt of one half spectrum (N/2+1,) or of a batch (M, N/2+1),
+        row by row bit-identical to the single-spectrum result."""
         if self._rows is None:
             if self._linear is None:
                 return np.zeros_like(u_hat)
             return self._linear * u_hat
-        vals = half_values_of(self._rows * u_hat, self.n_points)
+        # the rows lead, so a spectrum and a batch index the same way below
+        rows = self._rows if u_hat.ndim == 1 else self._rows[:, None, :]
+        vals = half_values_of(rows * u_hat, self.n_points)
         prods = half_coeffs_of(vals[0] * vals[1:])
         out = self._weights[0] * prods[0]
         if len(self._weights) > 1:

@@ -22,6 +22,7 @@ quadratic terms stay spectrally consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .spectral import (
     Grid,
     RealField,
     coeffs_of,
+    require_finite,
     require_same_grid,
     values_of,
 )
@@ -68,8 +70,8 @@ def as_order(nu) -> FractionalOrder:
 # -- raw-array kernels ---------------------------------------------------
 #
 # The field-level operators below and the model right-hand sides all
-# reduce to these.  They take and return coefficient/value arrays so the
-# time steppers can stay allocation-light.
+# reduce to these.  They take and return coefficient/value arrays along
+# the last axis, so a (..., N) array is a batch of rows evaluated at once.
 
 def laplacian_symbol(grid: Grid, nu: float) -> np.ndarray:
     """|k|^(2 nu), with the k=0 entry exactly 0."""
@@ -92,6 +94,53 @@ def _mult(grid: Grid, sym: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return values_of(sym * coeffs_of(vals))
 
 
+class OperatorPlan:
+    """``lambda_pow``, ``apply_A``, ``apply_B`` and ``apply_f`` on one grid
+    and order nu, as array kernels over value arrays of shape (..., N).
+
+    Each symbol is built once per plan, on first use, so a caller
+    evaluating many fields builds it once.  Every method returns
+    the values of its field-level namesake, row by row bit for bit; like
+    that namesake, ``apply_B`` raises ``BlowUpError`` at a non-finite
+    intermediate.
+    """
+
+    def __init__(self, grid: Grid, nu: float):
+        self.grid = grid
+        self.nu = nu
+        self._lambda = {}
+
+    @cached_property
+    def lap(self) -> np.ndarray:
+        return laplacian_symbol(self.grid, self.nu)
+
+    def lambda_symbol(self, p: float) -> np.ndarray:
+        sym = self._lambda.get(p)
+        if sym is None:
+            sym = self._lambda[p] = lambda_symbol(self.grid, p, self.nu)
+        return sym
+
+    def lambda_pow(self, vals: np.ndarray, p: float) -> np.ndarray:
+        return _mult(self.grid, self.lambda_symbol(p), vals)
+
+    def apply_A(self, u: np.ndarray, z: np.ndarray) -> np.ndarray:
+        grid, lap = self.grid, self.lap
+        zx = values_of(grid._ik * coeffs_of(z))
+        u_zx = masked_product(grid, u, zx)
+        comm = masked_product(grid, u, _mult(grid, lap, zx)) - _mult(grid, lap, u_zx)
+        return zx + u_zx + _mult(grid, self.lambda_symbol(-2.0 * self.nu), comm)
+
+    def apply_B(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        inner = require_finite(self.apply_A(u, require_finite(self.lambda_pow(w, -1.0))))
+        return (require_finite(self.lambda_pow(inner, 1.0))
+                - require_finite(self.apply_A(u, w)))
+
+    def apply_f(self, u: np.ndarray) -> np.ndarray:
+        grid = self.grid
+        sq_hat = grid.dealias_keep * coeffs_of(u * u)
+        return values_of(self.lambda_symbol(-2.0 * self.nu) * grid._ik * sq_hat)
+
+
 # -- field-level operators ----------------------------------------------
 
 def fractional_laplacian(u: RealField, nu) -> RealField:
@@ -109,7 +158,7 @@ def lambda_pow(u: RealField, p: float, nu) -> RealField:
     nu = as_order(nu)
     if not np.isfinite(p):
         raise ParameterError(f"lambda power must be finite, got {p}")
-    return RealField(u.grid, _mult(u.grid, lambda_symbol(u.grid, p, nu.value), u.values))
+    return RealField(u.grid, OperatorPlan(u.grid, nu.value).lambda_pow(u.values, p))
 
 
 def helmholtz_inverse(u: RealField, mu: float, nu) -> RealField:
@@ -138,26 +187,17 @@ def apply_A(u: RealField, z: RealField, nu) -> RealField:
     """Quasi-linear advection operator A(u) z = (1+u) z_x + Lam^(-2nu)[u, L_nu] z_x."""
     nu = as_order(nu)
     grid = require_same_grid(u, z)
-    lap = laplacian_symbol(grid, nu.value)
-    lam_inv = lambda_symbol(grid, -2.0 * nu.value, nu.value)
-    zx = values_of(grid._ik * coeffs_of(z.values))
-    u_zx = masked_product(grid, u.values, zx)
-    comm = masked_product(grid, u.values, _mult(grid, lap, zx)) - _mult(grid, lap, u_zx)
-    return RealField(grid, zx + u_zx + _mult(grid, lam_inv, comm))
+    return RealField(grid, OperatorPlan(grid, nu.value).apply_A(u.values, z.values))
 
 
 def apply_B(u: RealField, w: RealField, nu) -> RealField:
     """B(u) w = Lam(A(u)(Lam^(-1) w)) - A(u) w, the conjugation defect of A by Lam."""
     nu = as_order(nu)
-    require_same_grid(u, w)
-    inner = apply_A(u, lambda_pow(w, -1.0, nu), nu)
-    return RealField(u.grid, lambda_pow(inner, 1.0, nu).values - apply_A(u, w, nu).values)
+    grid = require_same_grid(u, w)
+    return RealField(grid, OperatorPlan(grid, nu.value).apply_B(u.values, w.values))
 
 
 def apply_f(u: RealField, nu) -> RealField:
     """Nonlinear source f(u) = Lam^(-2nu) d/dx (u^2), square dealiased."""
     nu = as_order(nu)
-    grid = u.grid
-    sq_hat = grid.dealias_keep * coeffs_of(u.values * u.values)
-    lam_inv = lambda_symbol(grid, -2.0 * nu.value, nu.value)
-    return RealField(grid, values_of(lam_inv * grid._ik * sq_hat))
+    return RealField(u.grid, OperatorPlan(u.grid, nu.value).apply_f(u.values))

@@ -85,6 +85,17 @@ def _first_nonfinite(values) -> int | None:
     return int(np.argmin(finite))
 
 
+def require_finite(values: np.ndarray) -> np.ndarray:
+    """``values``, grid values along the last axis, if every entry is
+    finite; otherwise the ``BlowUpError`` a ``RealField`` of the first row
+    holding a non-finite entry raises."""
+    idx = _first_nonfinite(values)
+    if idx is not None:
+        idx %= values.shape[-1]
+        raise BlowUpError(f"non-finite field value at grid index {idx}", index=idx)
+    return values
+
+
 @dataclass(eq=False)
 class RealField:
     """A real-valued function sampled on a grid.
@@ -103,13 +114,8 @@ class RealField:
             raise GridMismatchError(
                 f"field has {vals.shape} values for a grid of {self.grid.n_points} points"
             )
-        idx = _first_nonfinite(vals)
-        if idx is not None:
-            raise BlowUpError(
-                f"non-finite field value at grid index {idx}", index=idx
-            )
         vals.setflags(write=False)
-        self.values = vals
+        self.values = require_finite(vals)
 
     @classmethod
     def zeros(cls, grid: Grid) -> "RealField":
@@ -155,14 +161,17 @@ def require_same_grid(*fields) -> Grid:
 
 
 # -- raw-array transform kernels (shared by the field-level API and the
-#    hot loops in models/timestepper) -----------------------------------
+#    hot loops in models/timestepper/diagnostics) -------------------------
+#
+# Each acts along the last axis, so a (..., N) array is a batch of rows,
+# and each row's result is bit-identical to transforming that row alone.
 
 def coeffs_of(values: np.ndarray) -> np.ndarray:
-    return np.fft.fft(values) / len(values)
+    return np.fft.fft(values) / values.shape[-1]
 
 
 def values_of(coeffs: np.ndarray) -> np.ndarray:
-    return (len(coeffs) * np.fft.ifft(coeffs)).real
+    return (coeffs.shape[-1] * np.fft.ifft(coeffs)).real
 
 
 def half_coeffs_of(values: np.ndarray) -> np.ndarray:
@@ -261,21 +270,26 @@ def derivative(u: RealField) -> RealField:
     return RealField(u.grid, values_of(u.grid._ik * coeffs_of(u.values)))
 
 
+def sobolev_weight(grid: Grid, s: float) -> np.ndarray:
+    """The Bessel weight (1+k^2)^s of each coefficient in the H^s norm."""
+    if not np.isfinite(s):
+        raise ParameterError(f"Sobolev index must be finite, got {s}")
+    return (1.0 + grid.k**2) ** s
+
+
+def sobolev_norms(grid: Grid, coeffs: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """H^s norms along the last axis of full spectra, for ``weight`` =
+    ``sobolev_weight(grid, s)``."""
+    return np.sqrt(grid.length * np.sum(weight * np.abs(coeffs) ** 2, axis=-1))
+
+
 def sobolev_norm(u, s: float) -> float:
     """H^s norm with the Bessel weight: ( L * sum_k (1+k^2)^s |u_hat_k|^2 )^(1/2).
 
     Accepts either a RealField or a SpectralField.
     """
-    if not np.isfinite(s):
-        raise ParameterError(f"Sobolev index must be finite, got {s}")
-    if isinstance(u, RealField):
-        coeffs = coeffs_of(u.values)
-        grid = u.grid
-    else:
-        coeffs = u.coefficients
-        grid = u.grid
-    weight = (1.0 + grid.k**2) ** s
-    return float(np.sqrt(grid.length * np.sum(weight * np.abs(coeffs) ** 2)))
+    coeffs = coeffs_of(u.values) if isinstance(u, RealField) else u.coefficients
+    return float(sobolev_norms(u.grid, coeffs, sobolev_weight(u.grid, s)))
 
 
 def inner_product(u: RealField, v: RealField) -> float:

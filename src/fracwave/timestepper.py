@@ -7,6 +7,12 @@ exponentials; the state stays a dealiased half spectrum for the whole run,
 and grid values are synthesized only for the snapshot sink, a breaking
 report and the returned state.
 
+The plan, its steps and their finiteness checks take one half spectrum
+(N/2+1,) or a batch (M, N/2+1) alike.  ``integrate_batch`` steps M
+trajectories that share a grid and dt as one array program and returns
+one result per row, equal bit for bit to that row's own run;
+``integrate`` (which also resumes from a checkpoint) is its one-row call.
+
 Two integrators step the plan's state.  Classical RK4 (``rk4_step``)
 suits fCH and fBBM, whose linearized phase speed stays bounded as k grows
 (it tends to c_disp/c_evo), so the stiffness is only advective.  fKdV has
@@ -159,7 +165,10 @@ def _checked_update(u_hat: np.ndarray, t: float) -> np.ndarray:
     # 2 sum |u_hat_k| bounds every grid value of a half spectrum; requiring
     # twice that to be finite leaves the inverse transform's partial sums
     # headroom, so the values later built from u_hat are finite too
-    if not math.isfinite(4.0 * np.abs(u_hat).sum()):
+    # (row by row for a batch: its largest row sum trips exactly when some
+    # row's own check would)
+    sums = np.abs(u_hat).sum(axis=-1)
+    if not math.isfinite(4.0 * (sums if u_hat.ndim == 1 else sums.max())):
         finite = np.isfinite(u_hat)
         raise BlowUpError(
             f"non-finite or overflowing update at t={t:.6g}",
@@ -263,12 +272,12 @@ def auto_dt(
 
 # -- breaking detection ---------------------------------------------------
 
-def _slope_stats(grid: Grid, u_hat: np.ndarray) -> tuple[float, float]:
-    """min u_x and where it sits, from a half spectrum: the per-step
-    breaking check."""
+def _slope_stats(grid: Grid, u_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """min u_x and where it sits, along the last axis of half spectra (one
+    (N/2+1,) or a batch (M, N/2+1)): the per-step breaking check."""
     ux = half_values_of(grid._ik[: grid.n_points // 2 + 1] * u_hat, grid.n_points)
-    i = int(np.argmin(ux))
-    return float(ux[i]), float(grid.x[i])
+    i = ux.argmin(axis=-1)
+    return np.take_along_axis(ux, i[..., None], axis=-1)[..., 0], grid.x[i]
 
 
 def _tail_fraction(u: RealField) -> float:
@@ -300,7 +309,7 @@ def _fit_breaking_time(history, threshold: float) -> float | None:
 def detect_breaking(state: SimulationState, config: SolverConfig) -> BreakingReport | None:
     """Report wave breaking when the slope threshold and the spectral-tail
     resolution guard are both exceeded; otherwise None."""
-    min_slope, location = _slope_stats(state.u.grid, _spectrum_of(state))
+    min_slope, location = map(float, _slope_stats(state.u.grid, _spectrum_of(state)))
     if min_slope > -config.breaking_slope_threshold:
         return None
     tail = _tail_fraction(state.u)
@@ -348,6 +357,20 @@ def _spectrum_of(state: SimulationState) -> np.ndarray:
     return state.u_hat if state.u_hat is not None else half_coeffs_of(state.u.values)
 
 
+def _start_spectrum(grid: Grid, values: np.ndarray, dealias: bool) -> np.ndarray:
+    u_hat = half_coeffs_of(values)
+    if dealias:
+        # keep the evolved band clean from the start
+        u_hat = grid.dealias_keep[: grid.n_points // 2 + 1] * u_hat
+    return u_hat
+
+
+def _snapshot_stride(config: SolverConfig, dt: float) -> int | None:
+    if config.snapshot_every is not None and dt > 0:
+        return max(1, int(round(config.snapshot_every / dt)))
+    return None
+
+
 def integrate(
     u0: RealField,
     model: ModelParams,
@@ -363,95 +386,141 @@ def integrate(
     says halt) or BLOWUP (non-finite value appeared; the state in the
     result is the last good one).
 
+    This is the one-row call of ``integrate_batch``.  Pass ``start`` to
+    resume from a checkpointed state; ``u0`` is ignored then.  The start's
+    stored spectrum is stepped as is, so a resumed trajectory is
+    bit-identical to an uninterrupted one when dt is explicit.
+    """
+    grid = (u0 if start is None else start.u).grid
+    row_sink = None
+    if sink is not None:
+        def row_sink(t, rows, values):
+            sink(t, RealField(grid, values[0]))
+    if start is None:
+        return integrate_batch([u0], model, config, row_sink)[0]
+    return integrate_batch([], model, config, row_sink, starts=[start])[0]
+
+
+def integrate_batch(u0s, model: ModelParams, config: SolverConfig, sink=None,
+                    starts=None) -> list:
+    """Advance the initial-value problems of the fields ``u0s``, all on one
+    grid, together as one (M, N/2+1) array program; returns one
+    ``SimulationResult`` per row.
+
+    Each row's result (outcome, state, slope history, breaking report,
+    blow-up time and stage) is bit-identical to that row's own run, and so
+    are its snapshots: ``sink(t, rows, values)`` gets the indices of the
+    rows due a snapshot at t and their grid values, shape (len(rows), N).
+    The rows must resolve to one dt, so with ``dt: auto`` they need equal
+    max|u|.  ``starts``, states sharing one grid and t (checkpoints, say),
+    replaces ``u0s``.
+
     Every step goes through one ``StepPlan``; grid values are synthesized
-    only for the sink, a breaking report and the returned state.  Pass
-    ``start`` to resume from a checkpointed state; ``u0`` is ignored then.
-    The start's stored spectrum is stepped as is, so a resumed trajectory
-    is bit-identical to an uninterrupted one when dt is explicit.
+    only for the sink, a breaking report and the returned states.  A step
+    that raises ``BlowUpError`` is taken again row by row, which freezes
+    each failing row with its own t and stage while the others go on; a
+    row whose slope crosses the threshold goes through ``detect_breaking``
+    alone, and halts alone.
     """
     _require_fkdv_for_if(model, config.integrator)
-
-    if start is None:
-        grid = u0.grid
-        u_hat = half_coeffs_of(u0.values)
-        if config.dealias:
-            # keep the evolved band clean from the start
-            u_hat = grid.dealias_keep[: grid.n_points // 2 + 1] * u_hat
-        state = SimulationState(
-            t=0.0,
-            u=RealField(grid, half_values_of(u_hat, grid.n_points)),
-            step_count=0,
-            min_slope_history=[],
-            u_hat=u_hat,
-        )
+    if starts is None:
+        if not u0s:
+            raise ParameterError("integrate_batch needs at least one row")
+        grid = u0s[0].grid
+        if any(u.grid != grid for u in u0s):
+            raise ParameterError("batched rows must share one grid")
+        u_hat = _start_spectrum(grid, np.stack([u.values for u in u0s]), config.dealias)
+        starts = [SimulationState(t=0.0, u=RealField(grid, v), u_hat=h)
+                  for v, h in zip(half_values_of(u_hat, grid.n_points), u_hat)]
     else:
-        grid = start.u.grid
-        u_hat = _spectrum_of(start)
-        state = replace(start, u_hat=u_hat)
-
-    span = config.t_end - state.t
-    dt, n_steps = resolve_dt(state.u, model, config, span)
+        if not starts:
+            raise ParameterError("integrate_batch needs at least one row")
+        grid = starts[0].u.grid
+        if any(s.u.grid != grid or s.t != starts[0].t for s in starts):
+            raise ParameterError("batched rows must share one grid and one start time")
+        starts = [replace(s, u_hat=_spectrum_of(s)) for s in starts]
+        u_hat = np.stack([s.u_hat for s in starts])
+    n, t = grid.n_points, starts[0].t
+    steps = {resolve_dt(s.u, model, config, config.t_end - t) for s in starts}
+    if len(steps) > 1:
+        raise ParameterError("batched rows resolve to different time steps; set dt")
+    ((dt, n_steps),) = steps
     plan = StepPlan(grid, model, dt, config.integrator, config.dealias) if n_steps else None
+    stride = _snapshot_stride(config, dt)
 
-    if config.snapshot_every is not None and dt > 0:
-        stride = max(1, int(round(config.snapshot_every / dt)))
-    else:
-        stride = None
-
-    history = state.min_slope_history
-    slope, _ = _slope_stats(grid, u_hat)
-    if not history or history[-1][0] < state.t:
-        history.append((state.t, slope))
-
+    histories = [s.min_slope_history for s in starts]
+    for history, slope in zip(histories, _slope_stats(grid, u_hat)[0].tolist()):
+        if not history or history[-1][0] < t:
+            history.append((t, slope))
     if sink is not None:
-        sink(state.t, state.u)
+        sink(t, np.arange(len(starts)), np.stack([s.u.values for s in starts]))
 
-    t, step_count = state.t, state.step_count
+    live = list(range(len(starts)))  # row of each line of u_hat
+    results: list = [None] * len(starts)
+    breaking: list = [None] * len(starts)
+    done = 0
 
-    def current() -> SimulationState:
-        nonlocal state
-        if state.u_hat is not u_hat:
-            state = SimulationState(
-                t=t,
-                u=RealField(grid, half_values_of(u_hat, grid.n_points)),
-                step_count=step_count,
-                min_slope_history=history,
-                u_hat=u_hat,
-            )
-        return state
+    def current(k: int) -> SimulationState:
+        start = starts[live[k]]
+        if not done:
+            return start
+        return SimulationState(t=t, u=RealField(grid, half_values_of(u_hat[k], n)),
+                               step_count=start.step_count + done,
+                               min_slope_history=histories[live[k]], u_hat=u_hat[k])
 
-    breaking: BreakingReport | None = None
+    def keep(lines) -> None:
+        nonlocal u_hat, live
+        if len(lines) < len(live):
+            u_hat, live = u_hat[lines], [live[k] for k in lines]
+
     for i in range(n_steps):
         try:
-            new_hat = plan.step(u_hat, t)
-        except BlowUpError as err:
-            return SimulationResult(
-                state=current(),
-                outcome=Outcome.BLOWUP,
-                dt=dt,
-                breaking=breaking,
-                blowup_time=err.t,
-                blowup_stage=err.stage,
-            )
-        u_hat, t, step_count = new_hat, t + dt, step_count + 1
-        slope, _ = _slope_stats(grid, u_hat)
-        history.append((t, slope))
-        report = None
-        if slope <= -config.breaking_slope_threshold:
-            report = detect_breaking(current(), config)
-        if report is not None and breaking is None:
-            breaking = report
-            if config.on_breaking == "halt":
-                if sink is not None:
-                    sink(t, current().u)
-                return SimulationResult(
-                    state=current(), outcome=Outcome.BREAKING, dt=dt, breaking=breaking
-                )
-        if sink is not None and (
-            (stride is not None and (i + 1) % stride == 0) or i == n_steps - 1
-        ):
-            sink(t, current().u)
-    return SimulationResult(state=current(), outcome=Outcome.COMPLETED, dt=dt, breaking=breaking)
+            # a lone row steps without the batch axis: the same numbers at
+            # less per-call cost
+            new_hat = plan.step(u_hat[0], t)[None] if len(live) == 1 else plan.step(u_hat, t)
+        except BlowUpError:
+            stepped = []
+            for k, row in enumerate(live):
+                try:
+                    stepped.append((k, plan.step(u_hat[k], t)))
+                except BlowUpError as err:
+                    results[row] = SimulationResult(
+                        state=current(k), outcome=Outcome.BLOWUP, dt=dt,
+                        breaking=breaking[row], blowup_time=err.t, blowup_stage=err.stage,
+                    )
+            keep([k for k, _ in stepped])
+            if not live:
+                break
+            new_hat = np.stack([h for _, h in stepped])
+        u_hat, t, done = new_hat, t + dt, done + 1
+        halted = {}  # line -> its BREAKING result
+        for k, (row, slope) in enumerate(zip(live, _slope_stats(grid, u_hat)[0].tolist())):
+            histories[row].append((t, slope))
+            if slope <= -config.breaking_slope_threshold:
+                state = current(k)
+                report = detect_breaking(state, config)
+                if report is not None and breaking[row] is None:
+                    breaking[row] = report
+                    if config.on_breaking == "halt":
+                        halted[k] = SimulationResult(
+                            state=state, outcome=Outcome.BREAKING, dt=dt, breaking=report
+                        )
+        # a halting row gets its last snapshot whether or not one is due
+        due = (stride is not None and (i + 1) % stride == 0) or i == n_steps - 1
+        if sink is not None and (due or halted):
+            lines = np.arange(len(live)) if due else np.fromiter(halted, int)
+            sink(t, np.asarray(live)[lines], half_values_of(u_hat[lines], n))
+        if halted:
+            for k, result in halted.items():
+                results[live[k]] = result
+            keep([k for k in range(len(live)) if k not in halted])
+            if not live:
+                break
+    for k, row in enumerate(live):
+        results[row] = SimulationResult(
+            state=current(k), outcome=Outcome.COMPLETED, dt=dt, breaking=breaking[row]
+        )
+    return results
 
 
 # -- checkpointing --------------------------------------------------------

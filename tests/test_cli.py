@@ -373,6 +373,43 @@ class TestDiagnoseCommands:
         assert str(report) in lines[0] and ".tmp" not in lines[0]
         assert not list(tmp_path.rglob("*.tmp"))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_commutator_overflow_exit_3(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        code = main(["diagnose", "commutator", "--amplitude", "1e300", "--samples", "5",
+                     "--n", "32", "--band", "8", "--out", str(report)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: non-finite field value")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("pairs", ["0", "-2"])
+    def test_dependence_nonpositive_pairs_exit_1(self, tmp_path, capsys, pairs):
+        cfg_path = write_config(tmp_path / "c.json", base_config(tmp_path / "out"))
+        report = tmp_path / "r.json"
+        code = main(["diagnose", "dependence", "--config", cfg_path, "--pairs", pairs,
+                     "--out", str(report)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: dependence needs at least one pair, got {pairs}"]
+        assert not report.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_all_censored_dependence_report_is_standard_json(self, tmp_path):
+        # the base run overflows in its first step, so every pair is censored
+        cfg = base_config(tmp_path / "out",
+                          initial={"kind": "mode", "k": 1, "amplitude": 1e200},
+                          solver={"t_end": 0.02, "dt": 0.01})
+        report = tmp_path / "r.json"
+        assert main(["diagnose", "dependence", "--config", write_config(tmp_path / "c.json", cfg),
+                     "--pairs", "2", "--deltas", "1e-3", "--out", str(report)]) == 1
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        payload = json.loads(report.read_text(), parse_constant=refuse)
+        (entry,) = payload["reports"]
+        assert entry["censored"] == 2 and entry["max_g"] is None
+
     def test_dependence_delta_not_a_number_exit_1(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "c.json", base_config(tmp_path / "out"))
         code = main(["diagnose", "dependence", "--config", cfg_path, "--deltas", "x,0.1"])

@@ -2,15 +2,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracwave import (
+    BlowUpError,
     Coefficients,
     ParameterError,
     RealField,
     SampleSpec,
     SolverConfig,
+    apply_A,
+    apply_B,
     apply_f,
     commutator_estimate_sample,
     continuous_dependence_experiment,
@@ -22,8 +25,9 @@ from fracwave import (
     random_band_limited,
     sobolev_norm,
 )
-from fracwave.diagnostics import StudyKind
+from fracwave.diagnostics import _BATCH_ELEMENTS, StudyKind, _sample_report
 from fracwave.operators import lambda_pow, masked_product
+from fracwave.spectral import require_finite
 from fracwave.timestepper import resolve_dt
 from conftest import TWO_PI, make_grid
 
@@ -169,11 +173,96 @@ SAMPLERS = {
 }
 
 
+def reference_report(name, sp):
+    """(ratios, skipped) of SAMPLERS[name] drawn one sample at a time with
+    the field-level operators, in the documented draw order."""
+    rng = np.random.default_rng(sp.seed)
+    g, band, nu = sp.grid, sp.band_limit, 1.0
+
+    def scaled(index, target):
+        u = random_band_limited(g, band, rng)
+        return RealField(g, u.values * (target / sobolev_norm(u, index)))
+
+    def diff(a, b, index):
+        return sobolev_norm(RealField(g, a.values - b.values), index)
+
+    def one_draw():
+        if name == "commutator":
+            m, s, sigma = 1.0, 2.0, 3.0
+            f = scaled(sigma, sp.amplitude)
+            h = scaled(s + m - 1.0, sp.amplitude)
+            bracket = masked_product(g, f.values, lambda_pow(h, m, nu).values) - lambda_pow(
+                RealField(g, masked_product(g, f.values, h.values)), m, nu).values
+            return (sobolev_norm(RealField(g, bracket), s),
+                    sobolev_norm(f, sigma) * sobolev_norm(h, s + m - 1.0))
+        s = 2.6
+        u = scaled(s, sp.amplitude * rng.uniform(0.2, 1.0))  # radius before phases
+        if name == "b-bound":
+            w = scaled(s - 1.0, 1.0)
+            return sobolev_norm(apply_B(u, w, nu), s - 1.0), sobolev_norm(w, s - 1.0)
+        v = scaled(s, sp.amplitude * rng.uniform(0.2, 1.0))
+        if name == "a-lip":
+            z = scaled(s, 1.0)
+            return (diff(apply_A(u, z, nu), apply_A(v, z, nu), s - 1.0),
+                    diff(u, v, s - 1.0) * sobolev_norm(z, s))
+        if name == "b-lip":
+            w = scaled(s - 1.0, 1.0)
+            return (diff(apply_B(u, w, nu), apply_B(v, w, nu), s - 1.0),
+                    diff(u, v, s) * sobolev_norm(w, s - 1.0))
+        index = s - 1.0 if name == "f-lip-x" else s
+        return diff(apply_f(u, nu), apply_f(v, nu), index), diff(u, v, index)
+
+    ratios, skipped = [], 0
+    for _ in range(sp.n_samples):
+        num, denom = one_draw()
+        if denom < 1e-13:
+            skipped += 1
+        else:
+            ratios.append(num / denom)
+    return ratios, skipped
+
+
+class TestChunkedDraws:
+    # N = 32 puts 128 samples in a chunk, so 259 samples make two whole
+    # chunks and a partial one
+    @pytest.mark.parametrize("name", list(SAMPLERS))
+    def test_equals_sample_by_sample_reference(self, name):
+        rows = _BATCH_ELEMENTS // 32
+        sp = spec(n=32, samples=2 * rows + 3, band=8, seed=17)
+        report = SAMPLERS[name](sp)
+        ratios, skipped = reference_report(name, sp)
+        assert report.skipped == skipped
+        assert report.ratios == ratios
+
+    def test_a_failing_chunk_raises_the_first_failing_samples_error(self):
+        # sample 0 fails only the second check and sample 1 the first; a
+        # chunk runs each check on all its rows, but the error raised must
+        # be sample 0's, as when the samples are evaluated one at a time
+        sp = spec(n=32, samples=3, band=8, seed=2)
+        stream = np.random.default_rng(sp.seed).uniform(size=sp.n_samples).tolist()
+
+        def draw(rng, rows):
+            checks = np.zeros((2, rows, 32))
+            for line, x in enumerate(rng.uniform(size=rows).tolist()):
+                sample = stream.index(x)
+                if sample == 0:
+                    checks[1, line, 5] = np.inf
+                if sample == 1:
+                    checks[0, line, 3] = np.inf
+            for values in checks:
+                require_finite(values)
+            return np.ones(rows), np.ones(rows)
+
+        with pytest.raises(BlowUpError, match="grid index 5$"):
+            _sample_report("probe", {}, sp, draw)
+
+
 class TestSequentialDraws:
     # the samples-doubled refinement compares a report with its own
     # extension: the first k draws of a 2k-sample set are the k-sample set
     @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4))
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4) | st.just(130))
+    @example(seed=5, k=130)
     def test_k_samples_are_a_prefix_of_2k(self, seed, k):
         sp = spec(n=32, samples=k, band=8, seed=seed)
         for name, sample in SAMPLERS.items():
@@ -190,6 +279,41 @@ class TestContinuousDependence:
         cfg = SolverConfig(t_end=0.1)
         with pytest.raises(ParameterError):
             continuous_dependence_experiment(u0, 0.0, 2, make_params("fch", 1.0), cfg, 3.0)
+
+    @pytest.mark.parametrize("n_pairs", [0, -2])
+    def test_pairs_must_be_positive(self, n_pairs):
+        g = make_grid(32)
+        u0 = RealField(g, 0.1 * np.sin(g.x))
+        cfg = SolverConfig(t_end=0.1, dt=0.05)
+        with pytest.raises(ParameterError, match="at least one pair"):
+            continuous_dependence_experiment(u0, 1e-3, n_pairs, make_params("fch", 1.0), cfg, 3.0)
+
+    def test_pairs_across_chunks_match_one_at_a_time(self):
+        # N = 32 puts 128 pairs in a chunk; compare every pair of three
+        # chunks with its own integrate run
+        g = make_grid(32)
+        u0 = RealField(g, 0.3 * np.sin(g.x))
+        p = make_params("fch", 1.0)
+        cfg = SolverConfig(t_end=0.03, dt=0.01)
+        s, delta, band, seed, n_pairs = 3.0, 1e-3, 5, 8, 2 * (_BATCH_ELEMENTS // 32) + 3
+        report = continuous_dependence_experiment(
+            u0, delta, n_pairs, p, cfg, s, seed=seed, band_limit=band
+        )
+        run_cfg = replace(cfg, snapshot_every=0.01)
+        base = []
+        integrate(u0, p, run_cfg, sink=lambda t, u: base.append(u))
+        rng = np.random.default_rng(seed)
+        expected = []
+        for _ in range(n_pairs):
+            w = random_band_limited(g, band, rng)
+            v0 = RealField(g, u0.values + w.values * (delta / sobolev_norm(w, s - 1.0)))
+            d0 = sobolev_norm(RealField(g, v0.values - u0.values), s - 1.0)
+            gaps = []
+            integrate(v0, p, run_cfg, sink=lambda t, u: gaps.append(sobolev_norm(
+                RealField(g, u.values - base[len(gaps)].values), s - 1.0)))
+            expected.append(max(gaps) / d0)
+        assert report.censored == 0
+        assert report.g_values == expected
 
     def test_equilibria_translate_g_is_one(self):
         # constant datum, constant perturbation: both trajectories constant

@@ -19,6 +19,14 @@ from fracwave import (
     inverse_transform,
     sobolev_norm,
 )
+from fracwave.spectral import (
+    coeffs_of,
+    half_coeffs_of,
+    half_values_of,
+    sobolev_norms,
+    sobolev_weight,
+    values_of,
+)
 from conftest import make_grid, smooth_field
 
 
@@ -259,6 +267,36 @@ class TestSobolevNorm:
         g = make_grid(16)
         with pytest.raises(ParameterError):
             sobolev_norm(RealField.zeros(g), np.inf)
+
+
+class TestRowKernels:
+    # the batched probes and trajectories report the same numbers as one
+    # field at a time only because each row of an (M, N) transform equals
+    # the transform of that row alone, bit for bit
+    @pytest.mark.parametrize("n", [8, 32, 96, 256])
+    @pytest.mark.parametrize("m", [1, 3, 40])
+    def test_rows_equal_row_by_row(self, n, m):
+        rng = np.random.default_rng(1000 * n + m)
+        g = make_grid(n)
+        values = rng.standard_normal((m, n))
+        coeffs = coeffs_of(values)
+        half = half_coeffs_of(values)
+        weight = sobolev_weight(g, 2.5)
+        norms = sobolev_norms(g, coeffs, weight)
+        back = values_of(coeffs)
+        half_back = half_values_of(half, n)
+        for i in range(m):
+            assert np.array_equal(coeffs[i], coeffs_of(values[i]))
+            assert np.array_equal(back[i], values_of(coeffs[i]))
+            assert np.array_equal(half[i], half_coeffs_of(values[i]))
+            assert np.array_equal(half_back[i], half_values_of(half[i], n))
+            assert norms[i] == sobolev_norm(RealField(g, values[i]), 2.5)
+
+    def test_normalised_by_points_not_rows(self):
+        # a (2, N) batch of constants keeps each mean as its zero mode
+        values = np.array([np.full(16, 3.0), np.full(16, -1.0)])
+        assert np.allclose(coeffs_of(values)[:, 0], [3.0, -1.0], atol=0, rtol=1e-15)
+        assert np.allclose(values_of(coeffs_of(values)), values, atol=1e-15, rtol=0)
 
 
 def test_parseval(rng):

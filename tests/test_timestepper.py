@@ -1,5 +1,6 @@
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from fracwave import (
     rk4_step,
 )
 from fracwave.operators import laplacian_symbol, masked_product
+from fracwave.timestepper import integrate_batch
 from fracwave.spectral import coeffs_of, half_coeffs_of, half_values_of, values_of
 from conftest import TWO_PI, make_grid, smooth_field
 
@@ -420,6 +422,86 @@ class TestIntegrate:
         res = integrate(u0, make_params("fch", 1.0), SolverConfig(t_end=1.0, dt=0.01))
         ts = [t for t, _ in res.state.min_slope_history]
         assert all(a < b for a, b in zip(ts, ts[1:]))
+
+
+def _batch_rows(amplitudes, phases, blow_at, break_at, blow_exponent, break_amplitude):
+    """Smooth rows, with a row that overflows in its first step inserted at
+    ``blow_at`` and a steep row with a resolved tail at ``break_at``."""
+    g = make_grid(32)
+    rows = [a * np.sin(g.x + ph) for a, ph in zip(amplitudes, phases)]
+    rows.insert(blow_at, 10.0**blow_exponent * np.sin(g.x))
+    rows.insert(break_at, break_amplitude * np.sin(g.x) + 0.05 * np.sin(8 * g.x))
+    return g, rows
+
+
+class TestIntegrateBatch:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=25, deadline=None)
+    @given(
+        amplitudes=st.lists(st.floats(0.0, 1.5), min_size=0, max_size=4),
+        phases=st.lists(st.floats(0.0, 6.0), min_size=4, max_size=4),
+        blow_at=st.integers(0, 4),
+        break_at=st.integers(0, 5),
+        blow_exponent=st.floats(150.0, 200.0),
+        break_amplitude=st.floats(1.2, 3.0),
+        on_breaking=st.sampled_from(["halt", "warn"]),
+        snapshot_every=st.sampled_from([None, 0.01, 0.03]),
+    )
+    def test_each_row_equals_its_own_integrate(self, amplitudes, phases, blow_at, break_at,
+                                               blow_exponent, break_amplitude, on_breaking,
+                                               snapshot_every):
+        g, rows = _batch_rows(amplitudes, phases, min(blow_at, len(amplitudes)),
+                              min(break_at, len(amplitudes) + 1), blow_exponent,
+                              break_amplitude)
+        cfg = SolverConfig(t_end=0.1, dt=0.01, snapshot_every=snapshot_every,
+                           breaking_slope_threshold=1.0, tail_fraction_threshold=1e-6,
+                           on_breaking=on_breaking)
+        p = make_params("fch", 1.0)
+        batch_snaps = [[] for _ in rows]
+
+        def batch_sink(t, lines, values):
+            for line, v in zip(lines, values):
+                batch_snaps[line].append((t, v.copy()))
+
+        results = integrate_batch([RealField(g, r) for r in rows], p, cfg, batch_sink)
+        outcomes = set()
+        for row, result, snaps in zip(rows, results, batch_snaps):
+            own_snaps = []
+            own = integrate(RealField(g, row), p, cfg,
+                            sink=lambda t, u: own_snaps.append((t, u.values)))
+            outcomes.add(result.outcome)
+            assert result.outcome is own.outcome
+            assert result.dt == own.dt
+            assert result.blowup_time == own.blowup_time
+            assert result.blowup_stage == own.blowup_stage
+            assert (result.breaking is None) == (own.breaking is None)
+            if own.breaking is not None:
+                assert result.breaking.to_dict() == own.breaking.to_dict()
+            assert result.state.t == own.state.t
+            assert result.state.step_count == own.state.step_count
+            assert result.state.min_slope_history == own.state.min_slope_history
+            assert np.array_equal(result.state.u.values, own.state.u.values)
+            assert np.array_equal(result.state.u_hat, own.state.u_hat)
+            assert [t for t, _ in snaps] == [t for t, _ in own_snaps]
+            assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(snaps, own_snaps))
+        assert Outcome.BLOWUP in outcomes
+        assert (Outcome.BREAKING in outcomes) == (on_breaking == "halt")
+
+    def test_rows_need_one_dt(self):
+        g = make_grid(32)
+        u0s = [RealField(g, a * np.sin(g.x)) for a in (0.1, 5.0)]
+        with pytest.raises(ParameterError, match="different time steps"):
+            integrate_batch(u0s, make_params("fch", 1.0), SolverConfig(t_end=0.1))
+        with pytest.raises(ParameterError, match="at least one row"):
+            integrate_batch([], make_params("fch", 1.0), SolverConfig(t_end=0.1, dt=0.01))
+
+    def test_started_rows_share_one_time(self):
+        g = make_grid(32)
+        p, cfg = make_params("fch", 1.0), SolverConfig(t_end=0.1, dt=0.01)
+        starts = [integrate(RealField(g, 0.3 * np.sin(g.x)), p, replace(cfg, t_end=t)).state
+                  for t in (0.02, 0.03)]
+        with pytest.raises(ParameterError, match="one start time"):
+            integrate_batch([], p, cfg, starts=starts)
 
 
 class TestCheckpoint:
