@@ -84,6 +84,7 @@ from .diagnostics import (
     commutator_estimate_sample,
     continuous_dependence_experiment,
     convergence_study,
+    fit_phase_speed,
     kato_lipschitz_sample,
     measure_phase_speed,
     random_band_limited,

@@ -38,12 +38,12 @@ from .diagnostics import (
     commutator_estimate_sample,
     continuous_dependence_experiment,
     convergence_study,
+    fit_phase_speed,
     kato_lipschitz_sample,
-    measure_phase_speed,
 )
 from .errors import CheckpointError, ConfigError, FracwaveError, ParameterError
 from .models import fbbm_energy, mass, momentum
-from .spectral import Grid
+from .spectral import Grid, coeffs_of
 from .timestepper import Outcome, checkpoint_read, checkpoint_write, integrate
 
 EXIT_OK = 0
@@ -67,22 +67,32 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _SnapshotWriter:
-    def __init__(self, directory, model):
+    """Writes each snapshot and keeps what the manifest needs of it: the
+    conserved functionals, Fourier coefficient ``mode`` (when given) for
+    the phase-speed fit, and (L, max|u|) of the first snapshot for the
+    mass floor.  No field is held."""
+
+    def __init__(self, directory, model, mode=None):
         self.directory = directory
         self.entries = []
         self.times = []
-        self.fields = []
+        self.coeffs = []
         self.mass = []
         self.momentum = []
         self.energy = []
+        self.first_extent = None
         self._model = model
+        self._mode = mode
 
     def __call__(self, t, u):
         name = f"snap_{len(self.entries):06d}.csv"
         write_snapshot(os.path.join(self.directory, name), u)
+        if not self.entries:
+            self.first_extent = (u.grid.length, float(np.abs(u.values).max()))
         self.entries.append({"t": t, "file": name})
         self.times.append(t)
-        self.fields.append(u)
+        if self._mode is not None:
+            self.coeffs.append(coeffs_of(u.values)[self._mode])
         self.mass.append(mass(u))
         self.momentum.append(momentum(u))
         self.energy.append(fbbm_energy(u, self._model))
@@ -124,21 +134,21 @@ def _execute_run(run_cfg: RunConfig, out_dir: str, start_state=None):
     exit code and the manifest."""
     u0 = start_state.u if start_state else build_initial(run_cfg.initial, run_cfg.grid)
     _make_output_dir(out_dir)
-    sink = _SnapshotWriter(out_dir, run_cfg.model)
+    mode = run_cfg.initial.params["k"] if run_cfg.initial.kind == "mode" else None
+    sink = _SnapshotWriter(out_dir, run_cfg.model, mode)
     result = integrate(u0, run_cfg.model, run_cfg.solver, sink=sink, start=start_state)
     checkpoint_write(result.state, os.path.join(out_dir, "checkpoint.fwck"))
 
     phase_speed = None
-    if run_cfg.initial.kind == "mode" and len(sink.fields) >= 2:
+    if mode is not None and len(sink.coeffs) >= 2:
         try:
-            phase_speed = measure_phase_speed(
-                sink.times, sink.fields, run_cfg.initial.params["k"]
-            )
+            phase_speed = fit_phase_speed(sink.times, sink.coeffs, run_cfg.grid, mode)
         except ParameterError:
             phase_speed = None
 
-    first = sink.fields[0]  # integrate always hands the sink its first state
-    mass_floor = _MASS_ROUNDOFF * first.grid.length * float(np.abs(first.values).max())
+    # integrate always hands the sink its first state
+    length, first_max = sink.first_extent
+    mass_floor = _MASS_ROUNDOFF * length * first_max
     manifest = {
         "code_version": __version__,
         "config": run_cfg.raw,

@@ -16,6 +16,7 @@ back as initial data (`initial: {"kind": "file", ...}`) without loss.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import BlowUpError, ConfigError, ParameterError
 from .models import Coefficients, ModelKind, ModelParams, default_coefficients, make_params
 from .spectral import Grid, RealField
-from .timestepper import AUTO, Integrator, SolverConfig, write_atomic
+from .timestepper import AUTO, Integrator, SolverConfig, open_atomic, write_atomic
 
 # Each key table maps a section's allowed keys to their JSON kind.  Only
 # keys present in the file are passed on, so every default lives in the
@@ -296,15 +297,26 @@ def build_initial(spec: InitialSpec, grid: Grid) -> RealField:
 _SNAPSHOT_BLOCK_ROWS = 4096
 
 
+@functools.lru_cache(maxsize=1)
+def _row_templates(grid: Grid) -> tuple:
+    """One ``%`` template per block of rows, with the x column of ``grid``
+    already formatted: a snapshot formats only its u column."""
+    x = grid.x
+    return tuple(
+        "".join(["%.17g,%%.17g\n" % xj for xj in x[start:start + _SNAPSHOT_BLOCK_ROWS].tolist()])
+        for start in range(0, grid.n_points, _SNAPSHOT_BLOCK_ROWS)
+    )
+
+
 def write_snapshot(path, u: RealField) -> None:
-    """Write ``x,u`` rows, formatted and written a bounded block at a time."""
-    x, values = u.grid.x, u.values
-    with open(path, "w") as fh:
+    """Write ``x,u`` rows, formatted and written a bounded block at a time,
+    to a temporary file that replaces ``path`` once complete."""
+    values = u.values
+    with open_atomic(path, "w") as fh:
         fh.write("x,u\n")
-        for start in range(0, len(values), _SNAPSHOT_BLOCK_ROWS):
-            stop = start + _SNAPSHOT_BLOCK_ROWS
-            rows = zip(x[start:stop].tolist(), values[start:stop].tolist())
-            fh.write("".join(["%.17g,%.17g\n" % row for row in rows]))
+        for i, template in enumerate(_row_templates(u.grid)):
+            block = values[i * _SNAPSHOT_BLOCK_ROWS:(i + 1) * _SNAPSHOT_BLOCK_ROWS]
+            fh.write(template % tuple(block.tolist()))
 
 
 def read_snapshot(path):

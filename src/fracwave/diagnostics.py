@@ -551,18 +551,25 @@ def convergence_study(
 
 # -- phase-speed measurement -------------------------------------------------
 
-def measure_phase_speed(times, fields, mode: int) -> float:
-    """Phase speed of one Fourier mode from a snapshot series.
+def fit_phase_speed(times, coeffs, grid: Grid, mode: int) -> float:
+    """Phase speed of Fourier mode ``mode`` of ``grid`` from its
+    coefficients ``coeffs`` at ``times``.
 
     Fits the unwrapped phase of u_hat_mode(t) against t; needs the mode
     populated and at least two snapshots.
     """
     if len(times) < 2:
         raise ParameterError("phase-speed fit needs at least two snapshots")
-    coeffs = np.array([coeffs_of(f.values)[mode] for f in fields])
+    coeffs = np.asarray(coeffs)
     if np.abs(coeffs).min() < 1e-300:
         raise ParameterError(f"mode {mode} is not populated; cannot fit its phase")
     phases = np.unwrap(np.angle(coeffs))
     slope = np.polyfit(np.asarray(times, dtype=float), phases, 1)[0]
-    k = fields[0].grid.k[mode]
-    return float(-slope / k)
+    return float(-slope / grid.k[mode])
+
+
+def measure_phase_speed(times, fields, mode: int) -> float:
+    """Phase speed of one Fourier mode from a snapshot series of fields;
+    see ``fit_phase_speed``."""
+    coeffs = [coeffs_of(f.values)[mode] for f in fields]
+    return fit_phase_speed(times, coeffs, fields[0].grid if fields else None, mode)

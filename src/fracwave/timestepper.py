@@ -33,6 +33,7 @@ import math
 import os
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -438,7 +439,10 @@ def integrate_batch(u0s, model: ModelParams, config: SolverConfig, sink=None,
         grid = starts[0].u.grid
         if any(s.u.grid != grid or s.t != starts[0].t for s in starts):
             raise ParameterError("batched rows must share one grid and one start time")
-        starts = [replace(s, u_hat=_spectrum_of(s)) for s in starts]
+        # each row appends to its own copy of the start's slope history, so
+        # the start state can be resumed from again
+        starts = [replace(s, u_hat=_spectrum_of(s),
+                          min_slope_history=list(s.min_slope_history)) for s in starts]
         u_hat = np.stack([s.u_hat for s in starts])
     n, t = grid.n_points, starts[0].t
     steps = {resolve_dt(s.u, model, config, config.t_end - t) for s in starts}
@@ -559,18 +563,25 @@ def checkpoint_write(state: SimulationState, path) -> None:
     write_atomic(path, payload)
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to a temporary file beside ``path``, then rename it
-    over ``path``: a reader sees the old file or the new one, never a part,
-    and a failed write leaves the old file as it was."""
+@contextmanager
+def open_atomic(path, mode: str = "wb"):
+    """Open a temporary file beside ``path`` for writing, and rename it over
+    ``path`` when the block ends: a reader sees the old file or the new one,
+    never a part, and a failed write leaves the old file as it was."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
+        with open(tmp, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through ``open_atomic``."""
+    with open_atomic(path) as fh:
+        fh.write(data)
 
 
 def checkpoint_read(path) -> SimulationState:

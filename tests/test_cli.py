@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracwave import dispersion_speed, make_params
-from fracwave.cli import main
+from fracwave import Grid, RealField, dispersion_speed, make_params, measure_phase_speed
+from fracwave.cli import _SnapshotWriter, main
 from fracwave.config import read_snapshot
 
 
@@ -63,6 +64,34 @@ class TestRun:
         assert main(["run", "--config", cfg_path]) == 0
         manifest = load_manifest(out)
         assert manifest["measured_phase_speed"] == pytest.approx(7.0 / 9.0, abs=1e-6)
+
+    def test_phase_speed_equals_fit_on_reloaded_snapshots(self, tmp_path):
+        cfg = base_config(
+            tmp_path / "run",
+            initial={"kind": "mode", "k": 2, "amplitude": 0.2, "phase": 0.3},
+            solver={"t_end": 0.5, "dt": 0.01, "snapshot_every": 0.05},
+        )
+        cfg_path = write_config(tmp_path / "c.json", cfg)
+        assert main(["run", "--config", cfg_path, "--set", "solver.t_end=0.25"]) == 0
+        assert main([
+            "resume", "--config", cfg_path,
+            "--checkpoint", str(tmp_path / "run" / "checkpoint.fwck"),
+            "--set", f"output.directory={tmp_path / 'resumed'}",
+        ]) == 0
+        grid = Grid(length=2.0 * np.pi, n_points=64)
+        for out in ("run", "resumed"):
+            manifest = load_manifest(tmp_path / out)
+            entries = manifest["snapshots"]
+            fields = [RealField(grid, read_snapshot(tmp_path / out / e["file"])[1])
+                      for e in entries]
+            expected = measure_phase_speed([e["t"] for e in entries], fields, 2)
+            assert manifest["measured_phase_speed"] == expected
+
+    def test_unpopulated_mode_phase_speed_null(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = base_config(out, initial={"kind": "mode", "k": 1, "amplitude": 0.0})
+        assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        assert load_manifest(out)["measured_phase_speed"] is None
 
     def test_config_error_exit_1(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "out")
@@ -544,6 +573,28 @@ class TestResume:
         straight = sorted((tmp_path / "straight").glob("snap_*.csv"))[-1].read_bytes()
         split = sorted((tmp_path / "second").glob("snap_*.csv"))[-1].read_bytes()
         assert straight == split
+
+
+class TestSnapshotSink:
+    def test_peak_memory_does_not_grow_with_fields(self, tmp_path):
+        grid = Grid(length=2.0 * np.pi, n_points=1024)
+        field_bytes = grid.n_points * 8
+        model = make_params("fch", 1.0)
+
+        def sink_peak(count):
+            sink = _SnapshotWriter(str(tmp_path), model, mode=1)
+            tracemalloc.start()
+            try:
+                for i in range(count):
+                    sink(0.01 * i, RealField(grid, 0.3 * np.sin(grid.x + 0.01 * i)))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the manifest's scalar series (t, the three functionals, the mode's
+        # coefficient and the snapshot entry) take well under 1 KB a
+        # snapshot; a held field takes 8 KB
+        assert sink_peak(400) - sink_peak(40) < 2 * field_bytes + 1024 * 360
 
 
 # Every config key but output.directory (a relative one would be written

@@ -1,9 +1,12 @@
 import builtins
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracwave import ConfigError, Integrator, ModelKind, RealField, timestepper
 from fracwave.config import (
@@ -334,6 +337,39 @@ class TestSnapshotIO:
         write_snapshot(path, u)
         assert path.read_bytes() == expected.encode()
 
+    # N = 4096 fills one block exactly; 4098 and 8194 end in a partial block
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.sampled_from([8, 4096, 4098, 8194]),
+        length=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+        special=st.lists(
+            st.tuples(
+                st.integers(0, 8193),
+                st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e308, -1e308, -7.25])
+                | st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_bytes_match_reference_on_alternating_grids(self, n, length, seed, special):
+        rng = np.random.default_rng(seed)
+        grids = [make_grid(n), make_grid(n, length), make_grid(8 if n > 8 else 4096)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.csv")
+            # each write follows one on another grid, so a stale x column shows
+            for g in grids + grids[::-1]:
+                values = rng.standard_normal(g.n_points) * 10.0 ** rng.integers(-300, 300)
+                for j, v in special:
+                    values[j % g.n_points] = v
+                u = RealField(g, values)
+                expected = "x,u\n" + "".join(
+                    "%.17g,%.17g\n" % r for r in zip(g.x.tolist(), u.values.tolist())
+                )
+                write_snapshot(path, u)
+                with open(path, "rb") as fh:
+                    assert fh.read() == expected.encode()
+
     def test_bit_exact_roundtrip(self, tmp_path, rng):
         g = make_grid(128)
         u = smooth_field(g, rng)
@@ -345,10 +381,12 @@ class TestSnapshotIO:
 
 
 class _HalfWriter:
-    """A file whose first write stores half its data, then fails."""
+    """A file that takes its first ``good`` writes, stores half the data of
+    the next one, then fails."""
 
-    def __init__(self, fh):
+    def __init__(self, fh, good=0):
         self.fh = fh
+        self.good = good
 
     def __enter__(self):
         return self
@@ -357,27 +395,34 @@ class _HalfWriter:
         self.fh.close()
 
     def write(self, data):
+        if self.good:
+            self.good -= 1
+            return self.fh.write(data)
         self.fh.write(data[: len(data) // 2])
         self.fh.flush()
         raise OSError("injected write failure")
 
 
 class TestAtomicWrites:
-    @pytest.mark.parametrize("writer", ["manifest", "checkpoint"])
+    @pytest.mark.parametrize("writer", ["manifest", "checkpoint", "snapshot"])
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, writer):
         path = tmp_path / "target"
         g = make_grid(16)
+        # a snapshot of three blocks fails after its header and first block
+        good = 2 if writer == "snapshot" else 0
 
         def write(i):
             if writer == "manifest":
                 write_manifest(path, {"i": i, "series": list(range(50))})
-            else:
+            elif writer == "checkpoint":
                 checkpoint_write(SimulationState(t=float(i), u=RealField(g, np.full(16, i))), path)
+            else:
+                write_snapshot(path, RealField(make_grid(8194), np.full(8194, float(i))))
 
         write(1)
         before = path.read_bytes()
         monkeypatch.setattr(
-            timestepper, "open", lambda p, mode: _HalfWriter(builtins.open(p, mode)),
+            timestepper, "open", lambda p, mode: _HalfWriter(builtins.open(p, mode), good),
             raising=False,
         )
         with pytest.raises(OSError, match="injected"):

@@ -618,6 +618,20 @@ class TestResume:
         assert np.array_equal(resumed.state.u.values, straight.state.u.values)
         assert resumed.state.min_slope_history == straight.state.min_slope_history
 
+    def test_resuming_twice_from_one_state(self):
+        g = make_grid(32)
+        u0 = RealField(g, 0.3 * np.sin(g.x))
+        p, cfg = make_params("fch", 1.0), SolverConfig(t_end=0.04, dt=0.01)
+        start = integrate(u0, p, replace(cfg, t_end=0.02)).state
+        before = list(start.min_slope_history)
+        first = integrate(u0, p, cfg, start=start)
+        second = integrate(u0, p, cfg, start=start)
+        assert start.min_slope_history == before
+        for result in (first, second):
+            ts = [t for t, _ in result.state.min_slope_history]
+            assert all(a < b for a, b in zip(ts, ts[1:]))
+        assert second.state.min_slope_history == first.state.min_slope_history
+
 
 _SPLIT_STEPS = 12
 _SPLIT_DT = 1.0 / 64
