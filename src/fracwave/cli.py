@@ -203,26 +203,31 @@ def cmd_resume(args) -> int:
     return _execute_run(run_cfg, run_cfg.output.directory, start_state=state)[0]
 
 
+def _numbers(text, command, item, option) -> list:
+    """The numbers of a comma-separated option value, blank items
+    skipped; a non-number or an empty list is a config error."""
+    values = []
+    for entry in filter(None, (part.strip() for part in text.split(","))):
+        try:
+            values.append(float(entry))
+        except ValueError:
+            raise ConfigError(f"{command} {item} {entry!r} is not a number") from None
+    if not values:
+        raise ConfigError(f"{command} needs a non-empty {option} list")
+    return values
+
+
 def cmd_sweep(args) -> int:
     run_cfg = load_config(args.config, args.set or (), args.allow_low_nu)
     # point directories are named by value to 15 significant digits; values
     # that share a name would share a directory, so later ones are dropped
     points_by_name = {}
-    for item in args.values.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            value = float(item)
-        except ValueError:
-            raise ConfigError(f"sweep value {item!r} is not a number") from None
+    for value in _numbers(args.values, "sweep", "value", "--values"):
         name = f"{args.axis}={value:.15g}"
         if name in points_by_name:
             print(f"warning: duplicate sweep value {value:.15g} ignored", file=sys.stderr)
         else:
             points_by_name[name] = value
-    if not points_by_name:
-        raise ConfigError("sweep needs a non-empty --values list")
 
     key = {"nu": "model.nu", "amplitude": "initial.amplitude"}[args.axis]
     base_raw = run_cfg.raw
@@ -332,20 +337,10 @@ def cmd_diagnose_lipschitz(args) -> int:
 def cmd_diagnose_dependence(args) -> int:
     run_cfg = load_config(args.config, args.set or (), args.allow_low_nu)
     u0 = build_initial(run_cfg.initial, run_cfg.grid)
-    deltas = []
-    for item in filter(None, (d.strip() for d in args.deltas.split(","))):
-        try:
-            deltas.append(float(item))
-        except ValueError:
-            raise ConfigError(f"dependence delta {item!r} is not a number") from None
-    if not deltas:
-        raise ConfigError("dependence needs a non-empty --deltas list")
-    reports = [
-        continuous_dependence_experiment(
-            u0, d, args.pairs, run_cfg.model, run_cfg.solver, args.s, seed=args.seed
-        )
-        for d in deltas
-    ]
+    reports = continuous_dependence_experiment(
+        u0, _numbers(args.deltas, "dependence", "delta", "--deltas"), args.pairs,
+        run_cfg.model, run_cfg.solver, args.s, seed=args.seed,
+    )
     max_gs = [r.max_g for r in reports if r.g_values]
     ok = bool(max_gs) and all(np.isfinite(g) for g in max_gs)
     if ok and len(max_gs) > 1:
@@ -483,7 +478,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (ConfigError, CheckpointError, ParameterError) as err:
+    except (CheckpointError, ParameterError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except FracwaveError as err:

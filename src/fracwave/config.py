@@ -156,7 +156,7 @@ def validate_config(cfg: dict, allow_low_nu: bool = False) -> RunConfig:
     g = _read_keys(sections["grid"], _GRID_KEYS, "grid", required=("N",))
     try:
         grid = Grid(length=g.get("L", 2.0 * np.pi), n_points=g["N"])
-    except Exception as err:
+    except ParameterError as err:
         raise ConfigError(str(err), key="grid") from None
 
     # initial

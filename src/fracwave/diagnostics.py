@@ -15,7 +15,7 @@ from (spec, parameters) and an n-sample report's ratios are a prefix of the
 2n-sample report's with the same seed.
 
 Draws are evaluated as array programs, ``max(1, 4096 // N)`` samples (or
-dependence pairs) at a time: a chunk takes its doubles in one
+dependence rows) at a time: a chunk takes its doubles in one
 ``rng.uniform`` call laid out in the sequential draw order and runs every
 operator on (rows, N) arrays.  Because each row of a transform equals the
 transform of that row alone, the stream, the ratios and G are bit-identical
@@ -27,12 +27,11 @@ first failing sample, as one field at a time.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BlowUpError, ParameterError
+from .errors import BlowUpError, NamedChoice, ParameterError
 from .models import ModelParams
 from .operators import OperatorPlan, as_order, masked_product
 from .spectral import (
@@ -175,9 +174,10 @@ class _Fields:
         return self.norm(require_finite(a - b), s)
 
     def scaled(self, phases: np.ndarray, s: float, target) -> np.ndarray:
-        """Fields rescaled to H^s norm ``target`` (a number or one per row)."""
+        """Fields rescaled to H^s norm ``target``: a number, one per row,
+        or a (D, 1) column, which gives D stacked copies of the rows."""
         u = require_finite(_band_limited(self.grid, phases))
-        return require_finite(u * (target / self.norm(u, s))[:, None])
+        return require_finite(u * (target / self.norm(u, s))[..., None])
 
 
 def _draw_chunk(draw, rng, rows: int):
@@ -251,23 +251,12 @@ def commutator_estimate_sample(
 
 # -- Lipschitz / boundedness constants of the quasi-linear pieces ----------
 
-class LipschitzKind(enum.Enum):
+class LipschitzKind(NamedChoice, what="Lipschitz probe"):
     A_LIP = "a-lip"
     B_BOUND = "b-bound"
     B_LIP = "b-lip"
     F_LIP_X = "f-lip-x"
     F_LIP_Y = "f-lip-y"
-
-    @classmethod
-    def from_string(cls, s: str) -> "LipschitzKind":
-        key = s.strip().lower().replace("_", "-")
-        for member in cls:
-            if member.value == key:
-                return member
-        raise ParameterError(
-            f"unknown Lipschitz probe {s!r}; expected one of "
-            f"{[k.value for k in cls]}"
-        )
 
 
 def kato_lipschitz_sample(which, s: float, nu, spec: SampleSpec) -> DiagnosticsReport:
@@ -357,25 +346,33 @@ class DependenceReport:
 
 def continuous_dependence_experiment(
     u0: RealField,
-    delta: float,
+    deltas,
     n_pairs: int,
     model: ModelParams,
     config: SolverConfig,
     s: float,
     seed: int = 0,
     band_limit: int | None = None,
-) -> DependenceReport:
-    """Growth of perturbations: G = sup_{t<=T} ||u1-u2||_{s-1} at t over t=0.
+) -> list:
+    """Growth of perturbations: G = sup_{t<=T} ||u1-u2||_{s-1} at t over t=0,
+    one report per entry of the sequence ``deltas``, in order.
 
     Each pair is (u0, u0 + delta * p) with p a random band-limited field
-    of unit H^{s-1} norm.  Pairs whose trajectory breaks or blows up
-    before t_end are censored (reported, not hidden).  The base runs
-    first; the perturbed runs go through ``integrate_batch`` a chunk of
-    pairs at a time, each compared with the base snapshot of the same
-    index as it arrives.
+    of unit H^{s-1} norm; every delta scales the same seeded directions.
+    A chunk of directions, under every delta, goes through
+    ``integrate_batch`` behind the base u0 as row 0.  Every step is a
+    snapshot, so each one holds the live base and pairs, and the gaps are
+    taken as they arrive: no trajectory is stored.  A pair is censored
+    (reported, not hidden) when its d0 is round-off, and then not stepped,
+    or when it or the base breaks or blows up before t_end.  A draw that
+    fails a finiteness check raises for the first direction that fails
+    under some delta.
     """
-    if not (np.isfinite(delta) and delta > 0):
-        raise ParameterError(f"perturbation scale must be positive, got {delta}")
+    for delta in deltas:
+        if not (np.isfinite(delta) and delta > 0):
+            raise ParameterError(f"perturbation scale must be positive, got {delta}")
+    if len(deltas) == 0:
+        raise ParameterError("dependence needs at least one delta")
     if n_pairs < 1:
         raise ParameterError(f"dependence needs at least one pair, got {n_pairs}")
     grid = u0.grid
@@ -384,65 +381,53 @@ def continuous_dependence_experiment(
     # time grid.
     dt, _ = resolve_dt(u0, model, config, config.t_end)
     run_cfg = replace(config, dt=dt, snapshot_every=dt)
-
-    base = []
-    base_result = integrate(u0, model, run_cfg, sink=lambda t, u: base.append(u.values))
-    if base_result.outcome is not Outcome.COMPLETED:
-        return DependenceReport(delta, [], n_pairs, n_pairs, s - 1.0)
-    base = np.stack(base)
-
     fields = _Fields(grid, band)
+    scales = np.asarray(deltas, dtype=float)[:, None]
 
     def draw(rng, rows):
+        """(delta, direction) rows of perturbed data and their d0."""
         (phases,) = fields.draw(rng, rows, ("phases",))
-        perturbed0 = require_finite(u0.values + fields.scaled(phases, s - 1.0, delta))
+        perturbed0 = require_finite(u0.values + fields.scaled(phases, s - 1.0, scales))
+        perturbed0 = perturbed0.reshape(-1, grid.n_points)
         return perturbed0, fields.diff_norm(perturbed0, u0.values, s - 1.0)
 
+    reports = [DependenceReport(delta, [], 0, n_pairs, s - 1.0) for delta in deltas]
     rng = np.random.default_rng(seed)
-    rows = _chunk_rows(grid)
-    g_values, censored = [], 0
-    for done in range(0, n_pairs, rows):
-        perturbed0, d0 = _draw_chunk(draw, rng, min(rows, n_pairs - done))
+    chunk = max(1, (_chunk_rows(grid) - 1) // len(deltas))
+    for done in range(0, n_pairs, chunk):
+        perturbed0, d0 = _draw_chunk(draw, rng, min(chunk, n_pairs - done))
+        owner = np.repeat(np.arange(len(deltas)), len(d0) // len(deltas))
         run = ~(d0 < _ZERO_DENOM)
-        censored += int((~run).sum())
+        for j in owner[~run].tolist():
+            reports[j].censored += 1
         if not run.any():
             continue
-        d0 = d0[run]
-        # both runs share run_cfg: a row's snapshot i is at the time of base[i]
-        snaps = np.zeros(len(d0), dtype=int)
+        d0, owner = d0[run], owner[run]
         sup_gap = np.full(len(d0), -np.inf)
 
-        def sink(t, pairs, values):
-            gaps = fields.diff_norm(values, base[snaps[pairs]], s - 1.0)
-            sup_gap[pairs] = np.maximum(sup_gap[pairs], gaps)
-            snaps[pairs] += 1
+        def sink(t, rows, values):
+            if rows[0] == 0:  # the base is live: gaps of the pairs to it
+                pairs = rows[1:] - 1
+                gaps = fields.diff_norm(values[1:], values[0], s - 1.0)
+                sup_gap[pairs] = np.maximum(sup_gap[pairs], gaps)
 
-        results = integrate_batch([RealField(grid, v) for v in perturbed0[run]],
-                                  model, run_cfg, sink)
-        for result, n_snaps, g in zip(results, snaps, (sup_gap / d0).tolist()):
-            if result.outcome is not Outcome.COMPLETED or n_snaps != len(base):
-                censored += 1
+        base, *results = integrate_batch(
+            [u0] + [RealField(grid, v) for v in perturbed0[run]], model, run_cfg, sink)
+        for result, j, g in zip(results, owner.tolist(), (sup_gap / d0).tolist()):
+            if result.outcome is Outcome.COMPLETED and base.outcome is Outcome.COMPLETED:
+                reports[j].g_values.append(g)
             else:
-                g_values.append(g)
-    return DependenceReport(delta, g_values, censored, n_pairs, s - 1.0)
+                reports[j].censored += 1
+    return reports
 
 
 # -- convergence studies ----------------------------------------------------
 
-class StudyKind(enum.Enum):
+class StudyKind(NamedChoice, what="study kind"):
     SPATIAL = "spatial"
     TEMPORAL = "temporal"
     BOX_SIZE = "box-size"
-
-    @classmethod
-    def from_string(cls, sname: str) -> "StudyKind":
-        key = sname.strip().lower().replace("_", "-")
-        aliases = {"box": "box-size"}
-        key = aliases.get(key, key)
-        for member in cls:
-            if member.value == key:
-                return member
-        raise ParameterError(f"unknown study kind {sname!r}")
+    BOX = "box-size"  # alias
 
 
 @dataclass

@@ -1,6 +1,9 @@
-"""Typed errors shared across the package."""
+"""Typed errors shared across the package, and the named-choice enum
+whose parse failures are one of them."""
 
 from __future__ import annotations
+
+import enum
 
 
 class FracwaveError(Exception):
@@ -53,3 +56,23 @@ class ConfigError(ParameterError):
 class CheckpointError(FracwaveError):
     """A checkpoint file is unreadable: bad magic, version mismatch,
     truncation, or checksum failure."""
+
+
+class NamedChoice(enum.Enum):
+    """An enum read from user text.  ``from_string`` takes a member's value
+    or name (aliases included) in any case, with surrounding blanks, and
+    with '-' and '_' alike; subclasses name the choice with ``what=``."""
+
+    def __init_subclass__(cls, *, what, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._what = what
+
+    @classmethod
+    def from_string(cls, text: str):
+        key = text.strip().upper().replace("-", "_")
+        for name, member in cls.__members__.items():
+            if key in (name, member.value.upper().replace("-", "_")):
+                return member
+        raise ParameterError(
+            f"unknown {cls._what} {text!r}; expected one of {[m.value for m in cls]}"
+        )

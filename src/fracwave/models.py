@@ -23,12 +23,11 @@ in the linear regime.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NamedChoice, ParameterError
 from .operators import (
     FractionalOrder,
     apply_A,
@@ -45,24 +44,11 @@ from .spectral import (
 )
 
 
-class ModelKind(enum.Enum):
+class ModelKind(NamedChoice, what="model kind"):
     FCH = "fch"
     FKDV = "fkdv"
     FBBM = "fbbm"
     LINEARIZED_FCH = "linearized"
-
-    @classmethod
-    def from_string(cls, s: str) -> "ModelKind":
-        key = s.strip().lower().replace("-", "_")
-        aliases = {"linearized_fch": "linearized"}
-        key = aliases.get(key, key)
-        for kind in cls:
-            if kind.value == key:
-                return kind
-        raise ParameterError(
-            f"unknown model kind {s!r}; expected one of "
-            f"{[k.value for k in cls]}"
-        )
 
 
 @dataclass(frozen=True)

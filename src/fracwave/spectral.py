@@ -53,13 +53,20 @@ class Grid:
         if n % 2 != 0 or n < 8:
             raise ParameterError(f"n_points must be even and >= 8, got {n}")
         # Derived arrays are stashed once; the dataclass stays hashable on
-        # (length, n_points) alone.
-        x = np.arange(n) * (self.length / n)
-        modes = np.fft.fftfreq(n, d=1.0 / n)  # signed indices [-N/2, N/2)
-        k = (2.0 * np.pi / self.length) * modes
-        ik = 1j * k
-        ik[n // 2] = 0.0  # Nyquist zeroed for odd derivatives of real data
-        mask = 3 * np.abs(modes) <= n  # 2/3 rule: keep |j| <= N/3
+        # (length, n_points) alone.  numpy sizes no array past intp-max
+        # bytes, and ik takes 16 a point.
+        too_large = ParameterError(f"n_points = {n} is too large to allocate")
+        if n > np.iinfo(np.intp).max // 16:
+            raise too_large
+        try:
+            x = np.arange(n) * (self.length / n)
+            modes = np.fft.fftfreq(n, d=1.0 / n)  # signed indices [-N/2, N/2)
+            k = (2.0 * np.pi / self.length) * modes
+            ik = 1j * k
+            ik[n // 2] = 0.0  # Nyquist zeroed for odd derivatives of real data
+            mask = 3 * np.abs(modes) <= n  # 2/3 rule: keep |j| <= N/3
+        except MemoryError:
+            raise too_large from None
         for arr in (x, modes, k, ik, mask):
             arr.setflags(write=False)
         object.__setattr__(self, "x", x)

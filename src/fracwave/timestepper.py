@@ -38,23 +38,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BlowUpError, CheckpointError, ParameterError
+from .errors import BlowUpError, CheckpointError, NamedChoice, ParameterError
 from .models import ModelKind, ModelParams, dispersion_speed, make_rhs
 from .spectral import Grid, RealField, coeffs_of, half_coeffs_of, half_values_of
 
 AUTO = "auto"
 
 
-class Integrator(enum.Enum):
+class Integrator(NamedChoice, what="integrator"):
     RK4 = "rk4"
     IFRK4 = "ifrk4"
-
-    @classmethod
-    def from_string(cls, s: str) -> "Integrator":
-        for member in cls:
-            if member.value == s.strip().lower():
-                return member
-        raise ParameterError(f"unknown integrator {s!r}; expected rk4 or ifrk4")
 
 
 @dataclass

@@ -247,8 +247,8 @@ def test_criterion_10_continuous_dependence():
     p = make_params("fch", 1.0)
     cfg = SolverConfig(t_end=1.0, dt=AUTO, cfl=0.5)
     max_gs = []
-    for delta in (1e-2, 1e-3, 1e-4):
-        rep = continuous_dependence_experiment(u0, delta, 10, p, cfg, s=3.0, seed=1010)
+    for rep in continuous_dependence_experiment(u0, (1e-2, 1e-3, 1e-4), 10, p, cfg,
+                                                s=3.0, seed=1010):
         assert rep.censored == 0
         assert len(rep.g_values) == 10
         assert np.isfinite(rep.max_g)

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from fracwave import Grid, RealField, dispersion_speed, make_params, measure_phase_speed
 from fracwave.cli import _SnapshotWriter, main
-from fracwave.config import read_snapshot
+from fracwave.config import read_snapshot, write_snapshot
 
 
 def write_config(path, cfg):
@@ -166,6 +168,26 @@ class TestRun:
         mass = load_manifest(out)["conserved_drift"]["mass"]
         assert mass["drift_rel"] == pytest.approx(mass["drift_abs"] / abs(mass["initial"]))
         assert mass["drift_rel"] < 1e-13
+
+    def test_mass_floor_takes_the_first_snapshot(self, tmp_path):
+        # two dispersive modes drift out of phase, so max|u| falls from
+        # 1.0 to about 0.78; the mean puts the initial mass between the
+        # round-off floors of the last and the first snapshot
+        grid = Grid(2.0 * np.pi, 32)
+        datum = 0.5 * np.cos(grid.x) + 0.5 * np.cos(3.0 * grid.x) + 0.9e-12
+        write_snapshot(tmp_path / "u0.csv", RealField(grid, datum))
+        out = tmp_path / "out"
+        cfg = base_config(out, model={"kind": "linearized", "nu": 1.0}, grid={"N": 32},
+                          initial={"kind": "file", "path": str(tmp_path / "u0.csv")})
+        cfg["solver"] = {"t_end": 7.0, "dt": 0.05, "snapshot_every": 7.0}
+        assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        manifest = load_manifest(out)
+        first, last = (np.abs(read_snapshot(out / manifest["snapshots"][i]["file"])[1]).max()
+                       for i in (0, -1))
+        mass = manifest["conserved_drift"]["mass"]
+        floor = 1e-12 * grid.length
+        assert floor * last < abs(mass["initial"]) < floor * first
+        assert mass["drift_rel"] is None
 
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.json")]) == 1
@@ -640,3 +662,13 @@ class TestExitCodeProperty:
         # a non-finite number is a config error for every key, never a blow-up
         if any(v in ("NaN", "Infinity", "-Infinity") for v in dict(overrides).values()):
             assert code == 1
+
+
+def test_python_m_fracwave_version(tmp_path):
+    # the module entry point, run outside the checkout
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "fracwave", "--version"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "fracwave 0.1.0\n", "")

@@ -93,6 +93,15 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="grid"):
             validate_config(raw)
 
+    @pytest.mark.parametrize("n", [10**20, 2**63 - 2])
+    def test_grid_too_large_to_allocate(self, n):
+        # refused before any array is sized, as a config error
+        raw = minimal_config()
+        raw["grid"]["N"] = n
+        with pytest.raises(ConfigError, match="too large to allocate") as err:
+            validate_config(raw)
+        assert err.value.key == "grid"
+
     def test_type_errors(self):
         raw = minimal_config()
         raw["grid"]["N"] = 64.5

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,10 +26,11 @@ from fracwave import (
     random_band_limited,
     sobolev_norm,
 )
-from fracwave.diagnostics import _BATCH_ELEMENTS, StudyKind, _sample_report
+from fracwave.diagnostics import _BATCH_ELEMENTS, LipschitzKind, StudyKind, _sample_report
+from fracwave.models import ModelKind
 from fracwave.operators import lambda_pow, masked_product
 from fracwave.spectral import require_finite
-from fracwave.timestepper import resolve_dt
+from fracwave.timestepper import Integrator, Outcome, resolve_dt
 from conftest import TWO_PI, make_grid
 
 
@@ -278,7 +280,7 @@ class TestContinuousDependence:
         u0 = RealField(g, 0.1 * np.sin(g.x))
         cfg = SolverConfig(t_end=0.1)
         with pytest.raises(ParameterError):
-            continuous_dependence_experiment(u0, 0.0, 2, make_params("fch", 1.0), cfg, 3.0)
+            continuous_dependence_experiment(u0, [0.0], 2, make_params("fch", 1.0), cfg, 3.0)
 
     @pytest.mark.parametrize("n_pairs", [0, -2])
     def test_pairs_must_be_positive(self, n_pairs):
@@ -286,18 +288,18 @@ class TestContinuousDependence:
         u0 = RealField(g, 0.1 * np.sin(g.x))
         cfg = SolverConfig(t_end=0.1, dt=0.05)
         with pytest.raises(ParameterError, match="at least one pair"):
-            continuous_dependence_experiment(u0, 1e-3, n_pairs, make_params("fch", 1.0), cfg, 3.0)
+            continuous_dependence_experiment(u0, [1e-3], n_pairs, make_params("fch", 1.0), cfg, 3.0)
 
     def test_pairs_across_chunks_match_one_at_a_time(self):
-        # N = 32 puts 128 pairs in a chunk; compare every pair of three
-        # chunks with its own integrate run
+        # N = 32 puts the base and 127 pairs in a chunk; compare every pair
+        # of three chunks with its own integrate run
         g = make_grid(32)
         u0 = RealField(g, 0.3 * np.sin(g.x))
         p = make_params("fch", 1.0)
         cfg = SolverConfig(t_end=0.03, dt=0.01)
         s, delta, band, seed, n_pairs = 3.0, 1e-3, 5, 8, 2 * (_BATCH_ELEMENTS // 32) + 3
-        report = continuous_dependence_experiment(
-            u0, delta, n_pairs, p, cfg, s, seed=seed, band_limit=band
+        (report,) = continuous_dependence_experiment(
+            u0, [delta], n_pairs, p, cfg, s, seed=seed, band_limit=band
         )
         run_cfg = replace(cfg, snapshot_every=0.01)
         base = []
@@ -332,10 +334,7 @@ class TestContinuousDependence:
         u0 = RealField(g, 0.2 * np.sin(g.x))
         p = make_params("fch", 1.0)
         cfg = SolverConfig(t_end=0.5, dt="auto")
-        reports = [
-            continuous_dependence_experiment(u0, d, 3, p, cfg, s=3.0, seed=9)
-            for d in (1e-2, 1e-3)
-        ]
+        reports = continuous_dependence_experiment(u0, (1e-2, 1e-3), 3, p, cfg, s=3.0, seed=9)
         for r in reports:
             assert r.censored == 0
             assert len(r.g_values) == 3
@@ -344,16 +343,18 @@ class TestContinuousDependence:
         ratio = reports[0].max_g / reports[1].max_g
         assert 0.5 < ratio < 2.0
 
-    def test_g_matches_stored_trajectories(self):
+    @pytest.mark.parametrize("deltas", [(1e-3,), (1e-2, 1e-3, 1e-4)])
+    def test_g_matches_stored_trajectories(self, deltas):
         # G from the whole stored trajectories: sup over t of the
-        # H^{s-1} gap over d0, with the experiment's draws and time grid
+        # H^{s-1} gap over d0, with the experiment's draws and time grid;
+        # every delta scales the same seeded directions
         g = make_grid(32)
         u0 = RealField(g, 0.3 * np.sin(g.x) + 0.1 * np.cos(2 * g.x))
         p = make_params("fch", 1.0)
         cfg = SolverConfig(t_end=0.2, dt="auto")
-        s, delta, band, seed = 3.0, 1e-3, 5, 4
-        report = continuous_dependence_experiment(
-            u0, delta, 3, p, cfg, s, seed=seed, band_limit=band
+        s, band, seed = 3.0, 5, 4
+        reports = continuous_dependence_experiment(
+            u0, deltas, 3, p, cfg, s, seed=seed, band_limit=band
         )
         dt, _ = resolve_dt(u0, p, cfg, cfg.t_end)
         run_cfg = replace(cfg, dt=dt, snapshot_every=dt)
@@ -368,25 +369,72 @@ class TestContinuousDependence:
 
         base = trajectory(u0)
         rng = np.random.default_rng(seed)
-        expected = []
-        for _ in range(3):
+        directions = [random_band_limited(g, band, rng) for _ in range(3)]
+        assert [r.delta for r in reports] == list(deltas)
+        for delta, report in zip(deltas, reports):
+            expected = []
+            for w in directions:
+                w_values = w.values * (delta / sobolev_norm(w, s - 1.0))
+                v0 = RealField(g, u0.values + w_values)
+                d0 = norm_of_difference(v0, u0)
+                other = trajectory(v0)
+                assert len(other) == len(base) > 2
+                expected.append(max(norm_of_difference(b, a) / d0
+                                    for a, b in zip(base, other)))
+            assert report.censored == 0
+            assert report.g_values == expected
+
+    def test_base_that_halts_censors_every_pair(self):
+        # the base crosses the slope threshold and halts before t_end while
+        # some pairs complete on their own: with no base left to compare
+        # with, every pair is censored
+        g = make_grid(32)
+        u0 = RealField(g, 0.5 * np.sin(g.x))
+        p = make_params("fch", 1.0)
+        cfg = SolverConfig(t_end=0.3, dt=0.01, breaking_slope_threshold=0.53,
+                           tail_fraction_threshold=1e-30)
+        base = integrate(u0, p, cfg)
+        assert base.outcome is Outcome.BREAKING and base.state.t < 0.29
+        s, delta, band, seed, n_pairs = 3.0, 0.1, 5, 3, 8
+        rng = np.random.default_rng(seed)
+        completed = 0
+        for _ in range(n_pairs):
             w = random_band_limited(g, band, rng)
-            w_values = w.values * (delta / sobolev_norm(w, s - 1.0))
-            v0 = RealField(g, u0.values + w_values)
-            d0 = norm_of_difference(v0, u0)
-            other = trajectory(v0)
-            assert len(other) == len(base) > 2
-            expected.append(max(norm_of_difference(b, a) / d0 for a, b in zip(base, other)))
-        assert report.censored == 0
-        assert report.g_values == expected
+            v0 = RealField(g, u0.values + w.values * (delta / sobolev_norm(w, s - 1.0)))
+            completed += integrate(v0, p, cfg).outcome is Outcome.COMPLETED
+        assert completed > 0
+        (report,) = continuous_dependence_experiment(
+            u0, [delta], n_pairs, p, cfg, s, seed=seed, band_limit=band
+        )
+        assert report.censored == n_pairs and report.g_values == []
+
+    def test_peak_memory_does_not_grow_with_steps(self):
+        # no trajectory is stored: 360 more steps at N=1024 hold no more
+        # fields (8 KB each); the rows' slope histories grow by a few
+        # hundred bytes a step
+        g = make_grid(1024)
+        u0 = RealField(g, 0.2 * np.sin(g.x))
+        p = make_params("fch", 1.0)
+
+        def peak(steps):
+            cfg = SolverConfig(t_end=steps * 1e-4, dt=1e-4)
+            tracemalloc.start()
+            try:
+                continuous_dependence_experiment(u0, [1e-2, 1e-3], 1, p, cfg, 3.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(40)  # the first call builds what later calls take from caches
+        assert peak(400) - peak(40) < 2**20
 
     def test_reproducible(self):
         g = make_grid(64)
         u0 = RealField(g, 0.2 * np.sin(g.x))
         p = make_params("fch", 1.0)
         cfg = SolverConfig(t_end=0.25, dt="auto")
-        a = continuous_dependence_experiment(u0, 1e-3, 2, p, cfg, s=3.0, seed=1)
-        b = continuous_dependence_experiment(u0, 1e-3, 2, p, cfg, s=3.0, seed=1)
+        (a,) = continuous_dependence_experiment(u0, [1e-3], 2, p, cfg, s=3.0, seed=1)
+        (b,) = continuous_dependence_experiment(u0, [1e-3], 2, p, cfg, s=3.0, seed=1)
         assert a.g_values == b.g_values
 
 
@@ -429,9 +477,36 @@ class TestConvergenceStudy:
         assert errors[1] < errors[0]
 
     def test_kind_strings(self):
-        assert StudyKind.from_string("box") is StudyKind.BOX_SIZE
-        with pytest.raises(ParameterError):
-            StudyKind.from_string("banana")
+        # every member of the four named choices, by value, name and alias,
+        # in any case and with blanks around; one bad name each
+        spellings = {
+            ModelKind.FCH: ["fch", " FCH "],
+            ModelKind.FKDV: ["fkdv", "FKdV"],
+            ModelKind.FBBM: ["fbbm"],
+            ModelKind.LINEARIZED_FCH:
+                ["linearized", "linearized_fch", "linearized-fch", "Linearized-FCH"],
+            Integrator.RK4: ["rk4", " RK4"],
+            Integrator.IFRK4: ["ifrk4", "IFRK4 "],
+            LipschitzKind.A_LIP: ["a-lip", "a_lip", "A-LIP"],
+            LipschitzKind.B_BOUND: ["b-bound", "b_bound"],
+            LipschitzKind.B_LIP: ["b-lip", "B_Lip"],
+            LipschitzKind.F_LIP_X: ["f-lip-x", "f_lip_x"],
+            LipschitzKind.F_LIP_Y: ["f-lip-y", " F-LIP-Y "],
+            StudyKind.SPATIAL: ["spatial", "Spatial"],
+            StudyKind.TEMPORAL: ["temporal", " TEMPORAL"],
+            StudyKind.BOX_SIZE: ["box-size", "box_size", "box", "BOX"],
+        }
+        for kind in (ModelKind, Integrator, LipschitzKind, StudyKind):
+            assert set(kind) <= set(spellings)
+        for member, texts in spellings.items():
+            for text in texts:
+                assert type(member).from_string(text) is member
+        for kind, text, what in [(ModelKind, "ch", "model kind"),
+                                 (Integrator, "if-rk4", "integrator"),
+                                 (LipschitzKind, "a-lipx", "Lipschitz probe"),
+                                 (StudyKind, "banana", "study kind")]:
+            with pytest.raises(ParameterError, match=f"unknown {what} '{text}'"):
+                kind.from_string(text)
 
 
 class TestMeasurePhaseSpeed:
