@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -66,6 +67,23 @@ class _Parser(argparse.ArgumentParser):
 # -- run machinery -----------------------------------------------------------
 
 
+def _quiet_numpy():
+    """numpy's floating-point warnings off: every non-finite number a
+    command meets is trapped by the solver's and the probes' own checks and
+    reported once.  numpy keeps this per thread, so pool workers enter it
+    themselves."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+@contextmanager
+def _writing(what, path):
+    """A failed write of ``path`` becomes one config error naming it."""
+    try:
+        yield
+    except OSError as err:
+        raise ConfigError(f"cannot write {what} {path!r}: {err.strerror or err}") from None
+
+
 class _SnapshotWriter:
     """Writes each snapshot and keeps what the manifest needs of it: the
     conserved functionals, Fourier coefficient ``mode`` (when given) for
@@ -86,7 +104,9 @@ class _SnapshotWriter:
 
     def __call__(self, t, u):
         name = f"snap_{len(self.entries):06d}.csv"
-        write_snapshot(os.path.join(self.directory, name), u)
+        path = os.path.join(self.directory, name)
+        with _writing("snapshot", path):
+            write_snapshot(path, u)
         if not self.entries:
             self.first_extent = (u.grid.length, float(np.abs(u.values).max()))
         self.entries.append({"t": t, "file": name})
@@ -137,7 +157,9 @@ def _execute_run(run_cfg: RunConfig, out_dir: str, start_state=None):
     mode = run_cfg.initial.params["k"] if run_cfg.initial.kind == "mode" else None
     sink = _SnapshotWriter(out_dir, run_cfg.model, mode)
     result = integrate(u0, run_cfg.model, run_cfg.solver, sink=sink, start=start_state)
-    checkpoint_write(result.state, os.path.join(out_dir, "checkpoint.fwck"))
+    path = os.path.join(out_dir, "checkpoint.fwck")
+    with _writing("checkpoint", path):
+        checkpoint_write(result.state, path)
 
     phase_speed = None
     if mode is not None and len(sink.coeffs) >= 2:
@@ -178,7 +200,9 @@ def _execute_run(run_cfg: RunConfig, out_dir: str, start_state=None):
         "measured_phase_speed": phase_speed,
     }
     if run_cfg.output.manifest:
-        write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
+        path = os.path.join(out_dir, "manifest.json")
+        with _writing("manifest", path):
+            write_manifest(path, manifest)
 
     if result.outcome is Outcome.BREAKING:
         return EXIT_BREAKING, manifest
@@ -243,7 +267,8 @@ def cmd_sweep(args) -> int:
                 [f"{key}={value!r}", f"output.directory={point_dir}"],
             )
             cfg = validate_config(raw, allow_low_nu=args.allow_low_nu)
-            code, manifest = _execute_run(cfg, point_dir)
+            with _quiet_numpy():
+                code, manifest = _execute_run(cfg, point_dir)
             return {
                 "value": value,
                 "directory": point_dir,
@@ -268,7 +293,9 @@ def cmd_sweep(args) -> int:
         points = [one_point(name) for name in points_by_name]
 
     summary = {"axis": args.axis, "points": points}
-    write_manifest(os.path.join(out_root, "sweep_summary.json"), summary)
+    path = os.path.join(out_root, "sweep_summary.json")
+    with _writing("sweep summary", path):
+        write_manifest(path, summary)
     return EXIT_OK if all(p["exit_code"] == EXIT_OK for p in points) else EXIT_USAGE
 
 
@@ -277,10 +304,8 @@ def cmd_sweep(args) -> int:
 
 def _write_report(path, payload) -> None:
     if path:
-        try:
+        with _writing("report", path):
             write_manifest(path, payload)
-        except OSError as err:
-            raise ConfigError(f"cannot write report {path!r}: {err.strerror}") from None
     else:
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -477,7 +502,8 @@ def main(argv=None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        with _quiet_numpy():
+            return args.func(args)
     except (CheckpointError, ParameterError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

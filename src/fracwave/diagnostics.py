@@ -43,7 +43,7 @@ from .spectral import (
     sobolev_weight,
     values_of,
 )
-from .timestepper import Outcome, SolverConfig, integrate, integrate_batch, resolve_dt
+from .timestepper import AUTO, Outcome, SolverConfig, integrate, integrate_batch, resolve_dt
 
 _ZERO_DENOM = 1e-13
 
@@ -68,6 +68,7 @@ class SampleSpec:
             )
         if not (np.isfinite(self.amplitude) and self.amplitude > 0):
             raise ParameterError(f"amplitude must be positive, got {self.amplitude}")
+        _check_seed(self.seed)
 
     def to_dict(self) -> dict:
         return {
@@ -106,6 +107,11 @@ class DiagnosticsReport:
             "mean_ratio": self.mean_ratio,
             "ratios": list(self.ratios),
         }
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
 
 
 def random_band_limited(grid: Grid, band_limit: int, rng) -> RealField:
@@ -375,6 +381,7 @@ def continuous_dependence_experiment(
         raise ParameterError("dependence needs at least one delta")
     if n_pairs < 1:
         raise ParameterError(f"dependence needs at least one pair, got {n_pairs}")
+    _check_seed(seed)
     grid = u0.grid
     band = band_limit if band_limit is not None else max(2, grid.n_points // 6)
     # Fix dt once from the unperturbed data so all trajectories share a
@@ -479,59 +486,53 @@ def convergence_study(
     """
     if isinstance(kind, str):
         kind = StudyKind.from_string(kind)
+    # dt is fixed once, from the datum on the SPATIAL reference grid or on
+    # the (length, n_points) grid
+    base = Grid(length, n_points)
+    datum = Grid(length, 4 * max(spatial_ns)) if kind is StudyKind.SPATIAL else base
+    if config.dt == AUTO:
+        dt, _ = resolve_dt(RealField(datum, initial(datum)), model, config, config.t_end)
+    elif kind is StudyKind.TEMPORAL:
+        # snap so every halved run lands exactly on t_end
+        dt = config.t_end / max(1, round(config.t_end / float(config.dt)))
+    else:
+        dt = config.dt
+    ref_grid, ref_cfg = datum, replace(config, dt=dt)
 
+    # each case: (resolution, grid, config, the window of the reference's
+    # values it is compared on)
     if kind is StudyKind.SPATIAL:
-        ref_n = 4 * max(spatial_ns)
-        ref_grid = Grid(length, ref_n)
-        if config.dt == "auto":
-            dt, _ = resolve_dt(RealField(ref_grid, initial(ref_grid)), model, config, config.t_end)
-            config = replace(config, dt=dt)
-        ref = _final_field(initial, ref_grid, model, config)
-        rows = []
-        for n in spatial_ns:
-            u = _final_field(initial, Grid(length, n), model, config)
-            stride = ref_n // n  # grids nest: coarse points are every stride-th fine point
-            err = float(np.abs(u.values - ref.values[::stride]).max())
-            rows.append((float(n), err))
-        return ConvergenceResult(kind, rows, None, {"N": ref_n, "dt": config.dt})
+        # grids nest: coarse points are every stride-th fine point
+        cases = [(float(n), Grid(length, n), ref_cfg, slice(None, None, datum.n_points // n))
+                 for n in spatial_ns]
+        reference = {"N": datum.n_points, "dt": dt}
+    elif kind is StudyKind.TEMPORAL:
+        cases = [(dt / 2**i, base, replace(config, dt=dt / 2**i), slice(None))
+                 for i in range(dt_halvings + 1)]
+        ref_cfg = replace(config, dt=dt / 2 ** (dt_halvings + 2))
+        reference = {"N": n_points, "dt": ref_cfg.dt}
+    else:  # BOX_SIZE: fixed spacing, growing box, compared on the middle
+        spacing = length / n_points
+        ref_len = 2.0 * max(box_lengths)
+        ref_grid = Grid(ref_len, int(round(ref_len / spacing)))
+        cases = []
+        for box_l in box_lengths:
+            n = int(round(box_l / spacing))
+            offset = (ref_grid.n_points - n) // 2
+            cases.append((box_l, Grid(box_l, n), ref_cfg, slice(offset, offset + n)))
+        reference = {"L": ref_len, "dt": dt}
 
+    ref = _final_field(initial, ref_grid, model, ref_cfg).values
+    rows = []
+    for resolution, grid, case_cfg, window in cases:
+        u = _final_field(initial, grid, model, case_cfg).values
+        rows.append((resolution, float(np.abs(u - ref[window]).max())))
+    order = None
     if kind is StudyKind.TEMPORAL:
-        grid = Grid(length, n_points)
-        u0 = RealField(grid, initial(grid))
-        if config.dt == "auto":
-            dt0, _ = resolve_dt(u0, model, config, config.t_end)
-        else:
-            # snap so every halved run lands exactly on t_end
-            dt0 = config.t_end / max(1, round(config.t_end / float(config.dt)))
-        ref_dt = dt0 / 2 ** (dt_halvings + 2)
-        ref = _final_field(initial, grid, model, replace(config, dt=ref_dt))
-        rows = []
-        for i in range(dt_halvings + 1):
-            dt = dt0 / 2**i
-            u = _final_field(initial, grid, model, replace(config, dt=dt))
-            rows.append((dt, float(np.abs(u.values - ref.values).max())))
         log_dt = np.log([r[0] for r in rows])
         log_err = np.log([max(r[1], 1e-300) for r in rows])
         order = float(np.polyfit(log_dt, log_err, 1)[0])
-        return ConvergenceResult(kind, rows, order, {"N": n_points, "dt": ref_dt})
-
-    # BOX_SIZE: fixed spacing, growing box
-    spacing = length / n_points
-    ref_len = 2.0 * max(box_lengths)
-    if config.dt == "auto":
-        g0 = Grid(length, n_points)
-        dt, _ = resolve_dt(RealField(g0, initial(g0)), model, config, config.t_end)
-        config = replace(config, dt=dt)
-    ref_n = int(round(ref_len / spacing))
-    ref = _final_field(initial, Grid(ref_len, ref_n), model, config)
-    rows = []
-    for box_l in box_lengths:
-        n = int(round(box_l / spacing))
-        u = _final_field(initial, Grid(box_l, n), model, config)
-        offset = (ref_n - n) // 2
-        err = float(np.abs(u.values - ref.values[offset : offset + n]).max())
-        rows.append((box_l, err))
-    return ConvergenceResult(kind, rows, None, {"L": ref_len, "dt": config.dt})
+    return ConvergenceResult(kind, rows, order, reference)
 
 
 # -- phase-speed measurement -------------------------------------------------

@@ -383,15 +383,14 @@ def integrate(
     This is the one-row call of ``integrate_batch``.  Pass ``start`` to
     resume from a checkpointed state; ``u0`` is ignored then.  The start's
     stored spectrum is stepped as is, so a resumed trajectory is
-    bit-identical to an uninterrupted one when dt is explicit.
+    bit-identical to an uninterrupted one when dt is explicit; a start
+    without one steps like the fresh field ``u0``.
     """
-    grid = (u0 if start is None else start.u).grid
+    start = start or SimulationState(t=0.0, u=u0)
     row_sink = None
     if sink is not None:
         def row_sink(t, rows, values):
-            sink(t, RealField(grid, values[0]))
-    if start is None:
-        return integrate_batch([u0], model, config, row_sink)[0]
+            sink(t, RealField(start.u.grid, values[0]))
     return integrate_batch([], model, config, row_sink, starts=[start])[0]
 
 
@@ -407,36 +406,33 @@ def integrate_batch(u0s, model: ModelParams, config: SolverConfig, sink=None,
     rows due a snapshot at t and their grid values, shape (len(rows), N).
     The rows must resolve to one dt, so with ``dt: auto`` they need equal
     max|u|.  ``starts``, states sharing one grid and t (checkpoints, say),
-    replaces ``u0s``.
+    replaces ``u0s``, whose fields start at t = 0.  A start without a
+    stored spectrum steps like a fresh field.
 
     Every step goes through one ``StepPlan``; grid values are synthesized
     only for the sink, a breaking report and the returned states.  A step
     that raises ``BlowUpError`` is taken again row by row, which freezes
     each failing row with its own t and stage while the others go on; a
     row whose slope crosses the threshold goes through ``detect_breaking``
-    alone, and halts alone.
+    alone until it reports, and halts alone.
     """
     _require_fkdv_for_if(model, config.integrator)
     if starts is None:
-        if not u0s:
-            raise ParameterError("integrate_batch needs at least one row")
-        grid = u0s[0].grid
-        if any(u.grid != grid for u in u0s):
-            raise ParameterError("batched rows must share one grid")
-        u_hat = _start_spectrum(grid, np.stack([u.values for u in u0s]), config.dealias)
-        starts = [SimulationState(t=0.0, u=RealField(grid, v), u_hat=h)
-                  for v, h in zip(half_values_of(u_hat, grid.n_points), u_hat)]
-    else:
-        if not starts:
-            raise ParameterError("integrate_batch needs at least one row")
-        grid = starts[0].u.grid
-        if any(s.u.grid != grid or s.t != starts[0].t for s in starts):
-            raise ParameterError("batched rows must share one grid and one start time")
-        # each row appends to its own copy of the start's slope history, so
-        # the start state can be resumed from again
-        starts = [replace(s, u_hat=_spectrum_of(s),
-                          min_slope_history=list(s.min_slope_history)) for s in starts]
-        u_hat = np.stack([s.u_hat for s in starts])
+        starts = [SimulationState(t=0.0, u=u) for u in u0s]
+    if not starts:
+        raise ParameterError("integrate_batch needs at least one row")
+    grid = starts[0].u.grid
+    if any(s.u.grid != grid or s.t != starts[0].t for s in starts):
+        raise ParameterError("batched rows must share one grid and one start time")
+    # each row appends to its own copy of the start's slope history, so
+    # the start state can be resumed from again; a stored spectrum is
+    # stepped as is, so a resume is bit-exact
+    starts = [replace(s, min_slope_history=list(s.min_slope_history)) for s in starts]
+    for s in starts:
+        if s.u_hat is None:
+            s.u_hat = _start_spectrum(grid, s.u.values, config.dealias)
+            s.u = RealField(grid, half_values_of(s.u_hat, grid.n_points))
+    u_hat = np.stack([s.u_hat for s in starts])
     n, t = grid.n_points, starts[0].t
     steps = {resolve_dt(s.u, model, config, config.t_end - t) for s in starts}
     if len(steps) > 1:
@@ -493,10 +489,10 @@ def integrate_batch(u0s, model: ModelParams, config: SolverConfig, sink=None,
         halted = {}  # line -> its BREAKING result
         for k, (row, slope) in enumerate(zip(live, _slope_stats(grid, u_hat)[0].tolist())):
             histories[row].append((t, slope))
-            if slope <= -config.breaking_slope_threshold:
+            if slope <= -config.breaking_slope_threshold and breaking[row] is None:
                 state = current(k)
                 report = detect_breaking(state, config)
-                if report is not None and breaking[row] is None:
+                if report is not None:
                     breaking[row] = report
                     if config.on_breaking == "halt":
                         halted[k] = SimulationResult(

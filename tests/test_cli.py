@@ -143,6 +143,19 @@ class TestRun:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: cannot create output directory")
 
+    @pytest.mark.parametrize("target,what", [
+        ("checkpoint.fwck", "checkpoint"), ("snap_000001.csv", "snapshot"),
+        ("manifest.json", "manifest"),
+    ])
+    def test_unwritable_output_file_exit_1(self, tmp_path, capsys, target, what):
+        out = tmp_path / "out"
+        (out / target).mkdir(parents=True)  # a directory squats on the file's name
+        cfg_path = write_config(tmp_path / "c.json", base_config(out))
+        assert main(["run", "--config", cfg_path]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: cannot write {what} {str(out / target)!r}: Is a directory"]
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_step_count_overflow_exit_1(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "c.json", base_config(tmp_path / "out"))
         args = ["run", "--config", cfg_path, "--set", "solver.t_end=1e300",
@@ -338,6 +351,18 @@ class TestSweep:
         assert summary["points"][0]["outcome"] == "error"
         assert "amplitude" in summary["points"][0]["error"]
 
+    def test_unwritable_point_recorded(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "sweep" / "nu=1.5" / "checkpoint.fwck").mkdir(parents=True)
+        cfg_path = write_config(tmp_path / "c.json", base_config(out))
+        assert main(["sweep", "--config", cfg_path, "--axis", "nu", "--values", "1.5,2",
+                     "--set", "solver.t_end=0.1"]) == 1
+        with open(out / "sweep_summary.json") as fh:
+            first, second = json.load(fh)["points"]
+        assert first["outcome"] == "error"
+        assert first["error"].startswith("cannot write checkpoint")
+        assert second["outcome"] == "completed"
+
 
 class TestDiagnoseCommands:
     def test_commutator_default(self, tmp_path):
@@ -423,6 +448,35 @@ class TestDiagnoseCommands:
         assert len(lines) == 1 and lines[0].startswith("error: cannot write report")
         assert str(report) in lines[0] and ".tmp" not in lines[0]
         assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("command", [
+        ["commutator", "--samples", "2", "--n", "32", "--band", "8"],
+        ["lipschitz", "--samples", "2", "--n", "32", "--band", "8"],
+        ["dependence", "--pairs", "2"],
+    ])
+    def test_negative_seed_exit_1(self, tmp_path, capsys, command):
+        if command[0] == "dependence":
+            command = command + ["--config", write_config(tmp_path / "c.json",
+                                                          base_config(tmp_path / "out"))]
+        assert main(["diagnose"] + command + ["--seed", "-1"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: seed must be a non-negative integer, got -1"]
+
+    @pytest.mark.parametrize("command,config", [
+        (["run"], {"grid": {"N": 256},
+                   "initial": {"kind": "mode", "k": 1, "amplitude": 3.0},
+                   "solver": {"t_end": 5.0, "dt": 1e-3, "dealias": False,
+                              "on_breaking": "warn"}}),
+        (["diagnose", "commutator", "--samples", "2", "--amplitude", "1e300"], None),
+    ])
+    def test_overflow_leaves_no_numpy_warning(self, tmp_path, command, config):
+        if config is not None:
+            cfg = write_config(tmp_path / "c.json", base_config(tmp_path / "out", **config))
+            command = command + ["--config", cfg]
+        done = _fracwave(command, tmp_path)
+        assert done.returncode == 3
+        assert "RuntimeWarning" not in done.stderr
+        assert len(done.stderr.splitlines()) == (0 if config else 1)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_commutator_overflow_exit_3(self, tmp_path, capsys):
@@ -664,11 +718,16 @@ class TestExitCodeProperty:
             assert code == 1
 
 
-def test_python_m_fracwave_version(tmp_path):
-    # the module entry point, run outside the checkout
+def _fracwave(args, cwd):
+    """``python -m fracwave`` with this checkout's package, run in ``cwd``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "fracwave", "--version"], cwd=tmp_path,
+    return subprocess.run([sys.executable, "-m", "fracwave", *args], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_fracwave_version(tmp_path):
+    # the module entry point, run outside the checkout
+    done = _fracwave(["--version"], tmp_path)
     assert (done.returncode, done.stdout, done.stderr) == (0, "fracwave 0.1.0\n", "")

@@ -380,6 +380,16 @@ class TestIntegrate:
         assert np.isfinite(res.state.u.values).all()
         assert res.state.t < 5.0
 
+    @pytest.mark.xfail(strict=True, reason="the detector cannot tell an unstable step "
+                       "from wave breaking")
+    def test_unstable_explicit_step_is_not_breaking(self):
+        # CFL max|u0| dt / dx = 5.2, far outside RK4's stability interval:
+        # the steep slope at t = 0.03 is the instability's, not a front's
+        g = make_grid(16384)
+        u0 = RealField(g, 0.2 * np.sin(g.x))
+        res = integrate(u0, make_params("fch", 1.0), SolverConfig(t_end=0.2, dt=0.01))
+        assert res.outcome is not Outcome.BREAKING
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_breaking_warn_continues_to_blowup_or_end(self):
         g = make_grid(64)
@@ -415,6 +425,45 @@ class TestIntegrate:
         b = integrate(u0, make_params("fch", 1.0), cfg)
         assert np.array_equal(a.state.u.values, b.state.u.values)
         assert a.state.t == b.state.t
+
+    @pytest.mark.parametrize("dt", [1e-3, AUTO])
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_start_state_without_spectrum_steps_like_u0(self, dealias, dt):
+        g = make_grid(64)
+        noise = 1e-3 * np.random.default_rng(5).standard_normal(64)
+        u0 = RealField(g, 0.3 * np.sin(g.x) + noise)
+        cfg = SolverConfig(t_end=0.5, dt=dt, dealias=dealias, snapshot_every=0.1)
+        p = make_params("fch", 1.0)
+        fresh_snaps, start_snaps = [], []
+        fresh = integrate(u0, p, cfg, sink=lambda t, u: fresh_snaps.append((t, u.values)))
+        started = integrate(None, p, cfg, sink=lambda t, u: start_snaps.append((t, u.values)),
+                            start=SimulationState(t=0.0, u=u0))
+        assert started.dt == fresh.dt
+        assert started.state.u.values.tobytes() == fresh.state.u.values.tobytes()
+        assert started.state.u_hat.tobytes() == fresh.state.u_hat.tobytes()
+        assert started.state.min_slope_history == fresh.state.min_slope_history
+        assert [t for t, _ in start_snaps] == [t for t, _ in fresh_snaps]
+        assert all(a.tobytes() == b.tobytes()
+                   for (_, a), (_, b) in zip(start_snaps, fresh_snaps))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_warn_row_is_detected_until_it_reports(self, monkeypatch):
+        import fracwave.timestepper as ts
+
+        called_at = []
+
+        def counting(state, config):
+            called_at.append(state.t)
+            return detect_breaking(state, config)
+
+        monkeypatch.setattr(ts, "detect_breaking", counting)
+        g = make_grid(256)
+        u0 = RealField(g, 2.0 * np.sin(g.x))
+        cfg = SolverConfig(t_end=5.0, dt=AUTO, dealias=False, on_breaking="warn")
+        res = integrate(u0, make_params("fch", 1.0), cfg)
+        # the row reports, then steps on with its slope past the threshold
+        assert res.breaking is not None and res.state.t > res.breaking.t
+        assert max(called_at) == res.breaking.t
 
     def test_slope_history_monotone_in_t(self):
         g = make_grid(32)
