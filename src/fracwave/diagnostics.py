@@ -19,10 +19,10 @@ dependence rows) at a time: a chunk takes its doubles in one
 ``rng.uniform`` call laid out in the sequential draw order and runs every
 operator on (rows, N) arrays.  Because each row of a transform equals the
 transform of that row alone, the stream, the ratios and G are bit-identical
-to drawing and evaluating one field at a time.  The same finiteness
-checks raise ``BlowUpError``; a chunk that raises is drawn again a row at
-a time, so the error (and the grid index it names) is the one of the
-first failing sample, as one field at a time.
+to drawing and evaluating one field at a time.  An operator value, norm
+or ratio that is not finite raises ``BlowUpError``; a chunk whose draw
+raises is drawn again a row at a time, so the error (and the grid index it
+names) is the one of the first failing sample, as one field at a time.
 """
 
 from __future__ import annotations
@@ -152,7 +152,8 @@ class _Fields:
     per-column bounds lay out the sequential draw order, so the stream is
     the one ``random_band_limited`` and ``rng.uniform(0.2, 1.0)`` would
     consume field by field.  Every array a field-at-a-time evaluation
-    would hold in a ``RealField`` passes ``require_finite``.
+    would hold in a ``RealField`` passes ``require_finite``, and so does
+    every norm.
     """
 
     def __init__(self, grid: Grid, band: int):
@@ -174,7 +175,10 @@ class _Fields:
         weight = self._weights.get(s)
         if weight is None:
             weight = self._weights[s] = sobolev_weight(self.grid, s)
-        return sobolev_norms(self.grid, coeffs_of(values), weight)
+        norms = sobolev_norms(self.grid, coeffs_of(values), weight)
+        if not np.isfinite(norms).all():
+            raise BlowUpError(f"H^{s:g} norm overflows")
+        return norms
 
     def diff_norm(self, a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
         return self.norm(require_finite(a - b), s)
@@ -204,7 +208,8 @@ def _draw_chunk(draw, rng, rows: int):
 def _sample_report(estimate, params, spec: SampleSpec, draw) -> DiagnosticsReport:
     """Ratios of ``spec.n_samples`` draws on one seeded generator, taken a
     chunk of ``rows`` at a time by ``draw(rng, rows) -> (num, denom)``
-    arrays; a round-off denominator is skipped."""
+    arrays; a round-off denominator is skipped, and a ratio that is not
+    finite raises ``BlowUpError``."""
     rng = np.random.default_rng(spec.seed)
     rows = _chunk_rows(spec.grid)
     ratios, skipped = [], 0
@@ -212,7 +217,10 @@ def _sample_report(estimate, params, spec: SampleSpec, draw) -> DiagnosticsRepor
         num, denom = _draw_chunk(draw, rng, min(rows, spec.n_samples - done))
         skip = denom < _ZERO_DENOM
         skipped += int(skip.sum())
-        ratios.extend((num[~skip] / denom[~skip]).tolist())
+        chunk = num[~skip] / denom[~skip]
+        if not np.isfinite(chunk).all():
+            raise BlowUpError(f"{estimate} ratio overflows")
+        ratios.extend(chunk.tolist())
     return DiagnosticsReport(estimate, ratios, skipped, spec, params)
 
 
@@ -246,9 +254,9 @@ def commutator_estimate_sample(
         f_phases, g_phases = fields.draw(rng, rows, ("phases", "phases"))
         f = fields.scaled(f_phases, sigma, spec.amplitude)
         g = fields.scaled(g_phases, s + m - 1.0, spec.amplitude)
-        f_lam_g = masked_product(grid, f, require_finite(ops.lambda_pow(g, m)))
-        lam_fg = require_finite(ops.lambda_pow(require_finite(masked_product(grid, f, g)), m))
-        return (fields.norm(require_finite(f_lam_g - lam_fg), s),
+        f_lam_g = masked_product(grid, f, ops.lambda_pow(g, m))
+        lam_fg = ops.lambda_pow(require_finite(masked_product(grid, f, g)), m)
+        return (fields.diff_norm(f_lam_g, lam_fg, s),
                 fields.norm(f, sigma) * fields.norm(g, s + m - 1.0))
 
     return _sample_report("commutator", {"m": m, "s": s, "sigma": sigma, "nu": nu.value},
@@ -292,15 +300,7 @@ def kato_lipschitz_sample(which, s: float, nu, spec: SampleSpec) -> DiagnosticsR
         LipschitzKind.A_LIP: ("radius", "phases", "phases"),
         LipschitzKind.B_LIP: ("radius", "phases", "phases"),
     }.get(which, ("radius", "phases"))
-
-    def A(u, z):
-        return require_finite(ops.apply_A(u, z))
-
-    def B(u, w):
-        return require_finite(ops.apply_B(u, w))
-
-    def f(u):
-        return require_finite(ops.apply_f(u))
+    A, B, f = ops.apply_A, ops.apply_B, ops.apply_f
 
     def draw(rng, rows):
         blocks = fields.draw(rng, rows, layout)

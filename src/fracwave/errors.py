@@ -11,11 +11,13 @@ class FracwaveError(Exception):
 
 
 class BlowUpError(FracwaveError):
-    """A field contains non-finite values (NaN/Inf).
+    """A field contains non-finite values (NaN/Inf), or a norm or ratio of
+    fields is not finite.
 
     Carries the first offending index (a grid index, or a half-spectrum
-    index when raised by a step) and, when raised inside a time stepper,
-    the simulation time and stage at which it was detected.
+    index when raised by a step; None for a norm or ratio) and, when
+    raised inside a time stepper, the simulation time and stage at which
+    it was detected.
     """
 
     def __init__(self, message, index=None, t=None, stage=None):

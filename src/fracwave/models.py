@@ -30,8 +30,7 @@ import numpy as np
 from .errors import NamedChoice, ParameterError
 from .operators import (
     FractionalOrder,
-    apply_A,
-    apply_f,
+    OperatorPlan,
     as_order,
     laplacian_symbol,
 )
@@ -214,10 +213,8 @@ def rhs_quasilinear_normalized(u: RealField, nu) -> RealField:
     normalization that the estimate probes exercise, not a rescaling of
     any of the physical coefficient sets.
     """
-    nu = as_order(nu)
-    return RealField(
-        u.grid, -apply_A(u, u, nu).values + apply_f(u, nu).values
-    )
+    ops = OperatorPlan(u.grid, as_order(nu).value)
+    return RealField(u.grid, -ops.apply_A(u.values, u.values) + ops.apply_f(u.values))
 
 
 # -- dispersion and conserved functionals --------------------------------

@@ -100,9 +100,9 @@ class OperatorPlan:
 
     Each symbol is built once per plan, on first use, so a caller
     evaluating many fields builds it once.  Every method returns
-    the values of its field-level namesake, row by row bit for bit; like
-    that namesake, ``apply_B`` raises ``BlowUpError`` at a non-finite
-    intermediate.
+    the values of its field-level namesake, row by row bit for bit, and
+    raises ``BlowUpError`` at a non-finite result or intermediate, as
+    that namesake does.
     """
 
     def __init__(self, grid: Grid, nu: float):
@@ -117,28 +117,29 @@ class OperatorPlan:
     def lambda_symbol(self, p: float) -> np.ndarray:
         sym = self._lambda.get(p)
         if sym is None:
+            if not np.isfinite(p):
+                raise ParameterError(f"lambda power must be finite, got {p}")
             sym = self._lambda[p] = lambda_symbol(self.grid, p, self.nu)
         return sym
 
     def lambda_pow(self, vals: np.ndarray, p: float) -> np.ndarray:
-        return _mult(self.grid, self.lambda_symbol(p), vals)
+        return require_finite(_mult(self.grid, self.lambda_symbol(p), vals))
 
     def apply_A(self, u: np.ndarray, z: np.ndarray) -> np.ndarray:
         grid, lap = self.grid, self.lap
         zx = values_of(grid._ik * coeffs_of(z))
         u_zx = masked_product(grid, u, zx)
         comm = masked_product(grid, u, _mult(grid, lap, zx)) - _mult(grid, lap, u_zx)
-        return zx + u_zx + _mult(grid, self.lambda_symbol(-2.0 * self.nu), comm)
+        return require_finite(zx + u_zx + _mult(grid, self.lambda_symbol(-2.0 * self.nu), comm))
 
     def apply_B(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        inner = require_finite(self.apply_A(u, require_finite(self.lambda_pow(w, -1.0))))
-        return (require_finite(self.lambda_pow(inner, 1.0))
-                - require_finite(self.apply_A(u, w)))
+        inner = self.apply_A(u, self.lambda_pow(w, -1.0))
+        return require_finite(self.lambda_pow(inner, 1.0) - self.apply_A(u, w))
 
     def apply_f(self, u: np.ndarray) -> np.ndarray:
         grid = self.grid
         sq_hat = grid.dealias_keep * coeffs_of(u * u)
-        return values_of(self.lambda_symbol(-2.0 * self.nu) * grid._ik * sq_hat)
+        return require_finite(values_of(self.lambda_symbol(-2.0 * self.nu) * grid._ik * sq_hat))
 
 
 # -- field-level operators ----------------------------------------------
@@ -156,8 +157,6 @@ def lambda_pow(u: RealField, p: float, nu) -> RealField:
     identity.
     """
     nu = as_order(nu)
-    if not np.isfinite(p):
-        raise ParameterError(f"lambda power must be finite, got {p}")
     return RealField(u.grid, OperatorPlan(u.grid, nu.value).lambda_pow(u.values, p))
 
 

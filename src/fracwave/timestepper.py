@@ -302,22 +302,24 @@ def _fit_breaking_time(history, threshold: float) -> float | None:
 
 def detect_breaking(state: SimulationState, config: SolverConfig) -> BreakingReport | None:
     """Report wave breaking when the slope threshold and the spectral-tail
-    resolution guard are both exceeded; otherwise None."""
+    resolution guard are both exceeded; otherwise None.  The breaking time
+    is fitted to the slope history, with (t, min slope) added unless the
+    history already ends at t."""
     min_slope, location = map(float, _slope_stats(state.u.grid, _spectrum_of(state)))
     if min_slope > -config.breaking_slope_threshold:
         return None
     tail = _tail_fraction(state.u)
     if tail <= config.tail_fraction_threshold:
         return None
+    history = state.min_slope_history
+    if not history or history[-1][0] < state.t:
+        history = history + [(state.t, min_slope)]
     return BreakingReport(
         t=state.t,
         min_slope=min_slope,
         location=location,
         tail_fraction=tail,
-        estimated_breaking_time=_fit_breaking_time(
-            state.min_slope_history + [(state.t, min_slope)],
-            config.breaking_slope_threshold,
-        ),
+        estimated_breaking_time=_fit_breaking_time(history, config.breaking_slope_threshold),
     )
 
 
@@ -440,6 +442,9 @@ def integrate_batch(u0s, model: ModelParams, config: SolverConfig, sink=None,
     ((dt, n_steps),) = steps
     plan = StepPlan(grid, model, dt, config.integrator, config.dealias) if n_steps else None
     stride = _snapshot_stride(config, dt)
+    # snapshots fall on the trajectory's own step grid, so a resumed run
+    # takes them at the times of the straight run
+    step0 = starts[0].step_count
 
     histories = [s.min_slope_history for s in starts]
     for history, slope in zip(histories, _slope_stats(grid, u_hat)[0].tolist()):
@@ -499,7 +504,7 @@ def integrate_batch(u0s, model: ModelParams, config: SolverConfig, sink=None,
                             state=state, outcome=Outcome.BREAKING, dt=dt, breaking=report
                         )
         # a halting row gets its last snapshot whether or not one is due
-        due = (stride is not None and (i + 1) % stride == 0) or i == n_steps - 1
+        due = (stride is not None and (step0 + i + 1) % stride == 0) or i == n_steps - 1
         if sink is not None and (due or halted):
             lines = np.arange(len(live)) if due else np.fromiter(halted, int)
             sink(t, np.asarray(live)[lines], half_values_of(u_hat[lines], n))

@@ -41,6 +41,14 @@ def load_manifest(out_dir):
         return json.load(fh)
 
 
+def load_strict_json(path):
+    """The JSON document at ``path``; NaN or Infinity in it fails."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 class TestRun:
     def test_zero_run(self, tmp_path):
         out = tmp_path / "out"
@@ -231,6 +239,17 @@ class TestRun:
         assert rep["tail_fraction"] > 1e-4
         assert manifest["t_final"] < 5.0
 
+    def test_overflowing_conserved_values_are_null(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = base_config(out, grid={"N": 32},
+                          initial={"kind": "mode", "k": 1, "amplitude": 1e160},
+                          solver={"t_end": 0.05, "dt": 0.01})
+        assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 3
+        manifest = load_strict_json(out / "manifest.json")
+        assert manifest["conserved"]["momentum"] == [None]
+        assert manifest["conserved_drift"]["momentum"] == {
+            "initial": None, "final": None, "drift_abs": None, "drift_rel": None}
+
     def test_manifest_written_on_blowup(self, tmp_path):
         out = tmp_path / "out"
         cfg = base_config(
@@ -273,6 +292,15 @@ class TestSweep:
             assert os.path.isdir(point["directory"])
             assert f"nu={point['value']:g}" in point["directory"]
         assert len(set(round(s, 4) for s in speeds)) == 3  # genuinely nu-dependent
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_1(self, tmp_path, capsys, jobs):
+        cfg_path = write_config(tmp_path / "c.json", base_config(tmp_path / "out"))
+        assert main(["sweep", "--config", cfg_path, "--axis", "nu", "--values", "1",
+                     "--jobs", jobs]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: sweep --jobs must be >= 1, got {jobs}"]
+        assert not (tmp_path / "out").exists()
 
     def test_empty_values_exit_1(self, tmp_path):
         cfg_path = write_config(tmp_path / "c.json", base_config(tmp_path / "out"))
@@ -487,6 +515,21 @@ class TestDiagnoseCommands:
         assert capsys.readouterr().err.startswith("error: non-finite field value")
         assert not report.exists()
 
+    @pytest.mark.parametrize("command,index", [
+        (["lipschitz", "--which", "a-lip", "--amplitude", "1e160"], "1.6"),
+        (["lipschitz", "--which", "b-lip", "--amplitude", "1e160"], "1.6"),
+        (["lipschitz", "--which", "b-bound", "--amplitude", "1e160"], "1.6"),
+        (["lipschitz", "--which", "f-lip-x", "--amplitude", "1e150"], "1.6"),
+        (["lipschitz", "--which", "f-lip-y", "--amplitude", "1e150"], "2.6"),
+        (["commutator", "--amplitude", "1e150"], "2"),
+    ], ids=["a-lip", "b-lip", "b-bound", "f-lip-x", "f-lip-y", "commutator"])
+    def test_overflowing_norm_exit_3(self, tmp_path, capsys, command, index):
+        report = tmp_path / "r.json"
+        code = main(["diagnose"] + command + ["--samples", "4", "--out", str(report)])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [f"error: H^{index} norm overflows"]
+        assert not report.exists()
+
     @pytest.mark.parametrize("pairs", ["0", "-2"])
     def test_dependence_nonpositive_pairs_exit_1(self, tmp_path, capsys, pairs):
         cfg_path = write_config(tmp_path / "c.json", base_config(tmp_path / "out"))
@@ -507,11 +550,7 @@ class TestDiagnoseCommands:
         report = tmp_path / "r.json"
         assert main(["diagnose", "dependence", "--config", write_config(tmp_path / "c.json", cfg),
                      "--pairs", "2", "--deltas", "1e-3", "--out", str(report)]) == 1
-
-        def refuse(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
-        payload = json.loads(report.read_text(), parse_constant=refuse)
+        payload = load_strict_json(report)
         (entry,) = payload["reports"]
         assert entry["censored"] == 2 and entry["max_g"] is None
 

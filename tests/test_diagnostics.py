@@ -258,6 +258,13 @@ class TestChunkedDraws:
         with pytest.raises(BlowUpError, match="grid index 5$"):
             _sample_report("probe", {}, sp, draw)
 
+    def test_a_ratio_that_is_not_finite_raises(self):
+        def draw(rng, rows):
+            return np.full(rows, 1e300), np.full(rows, 1e-10)
+
+        with np.errstate(over="ignore"), pytest.raises(BlowUpError, match="^probe ratio overflows$"):
+            _sample_report("probe", {}, spec(n=32, samples=3, band=8), draw)
+
 
 class TestSequentialDraws:
     # the samples-doubled refinement compares a report with its own

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fracwave import (
+    BlowUpError,
     FractionalOrder,
     GridMismatchError,
     ParameterError,
@@ -17,6 +18,7 @@ from fracwave import (
     lambda_pow,
     sobolev_norm,
 )
+from fracwave.operators import OperatorPlan
 from conftest import make_grid, smooth_field
 import oracles
 
@@ -78,6 +80,14 @@ class TestLambdaPow:
         u = smooth_field(g, rng)
         back = lambda_pow(lambda_pow(u, 1.3, 1.5), -1.3, 1.5)
         assert np.abs(back.values - u.values).max() < 1e-12
+
+    @pytest.mark.parametrize("p", [np.inf, np.nan])
+    def test_nonfinite_power_refused(self, p):
+        g = make_grid(16)
+        with pytest.raises(ParameterError, match="lambda power must be finite"):
+            lambda_pow(RealField(g, np.sin(g.x)), p, 1.0)
+        with pytest.raises(ParameterError, match="lambda power must be finite"):
+            OperatorPlan(g, 1.0).lambda_pow(np.sin(g.x), p)
 
 
 class TestHelmholtzInverse:
@@ -177,6 +187,17 @@ class TestQuasilinearPieces:
         g = make_grid(64)
         out = apply_f(RealField(g, np.sin(g.x)), 1.0)
         assert np.abs(out.values - 0.2 * np.sin(2 * g.x)).max() < 1e-13
+
+
+class TestOperatorPlan:
+    @pytest.mark.parametrize("method", ["lambda_pow", "apply_A", "apply_f"])
+    def test_overflowing_result_raises(self, method):
+        # the products in A and f square 1e200; Lam^60 multiplies mode 1 by 2^30
+        g = make_grid(32)
+        plan, u = OperatorPlan(g, 1.0), 1e200 * np.sin(g.x)
+        args = {"lambda_pow": (1e100 * u, 60.0), "apply_A": (u, u), "apply_f": (u,)}[method]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError):
+            getattr(plan, method)(*args)
 
 
 def _sample(g, rng):

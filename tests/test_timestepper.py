@@ -36,7 +36,7 @@ from fracwave import (
     rk4_step,
 )
 from fracwave.operators import laplacian_symbol, masked_product
-from fracwave.timestepper import integrate_batch
+from fracwave.timestepper import _fit_breaking_time, integrate_batch
 from fracwave.spectral import coeffs_of, half_coeffs_of, half_values_of, values_of
 from conftest import TWO_PI, make_grid, smooth_field
 
@@ -380,6 +380,15 @@ class TestIntegrate:
         assert np.isfinite(res.state.u.values).all()
         assert res.state.t < 5.0
 
+    def test_breaking_time_is_fitted_to_the_history_once(self):
+        # the reported point ends the history already; it is not added twice
+        g = make_grid(256)
+        u0 = RealField(g, 2.0 * np.sin(g.x))
+        cfg = SolverConfig(t_end=5.0, dt=AUTO, cfl=0.5, dealias=False)
+        res = integrate(u0, make_params("fch", 1.0), cfg)
+        assert res.breaking.estimated_breaking_time == _fit_breaking_time(
+            res.state.min_slope_history, cfg.breaking_slope_threshold)
+
     @pytest.mark.xfail(strict=True, reason="the detector cannot tell an unstable step "
                        "from wave breaking")
     def test_unstable_explicit_step_is_not_breaking(self):
@@ -666,6 +675,20 @@ class TestResume:
         assert resumed.state.step_count == straight.state.step_count
         assert np.array_equal(resumed.state.u.values, straight.state.u.values)
         assert resumed.state.min_slope_history == straight.state.min_slope_history
+
+    def test_resume_off_the_stride_keeps_the_snapshot_times(self):
+        g = make_grid(32)
+        u0 = RealField(g, 0.3 * np.sin(g.x))
+        p, cfg = make_params("fch", 1.0), SolverConfig(t_end=0.5, dt=0.01, snapshot_every=0.1)
+        straight, resumed = {}, {}
+        integrate(u0, p, cfg, sink=lambda t, u: straight.setdefault(t, u.values.tobytes()))
+        start = integrate(u0, p, replace(cfg, t_end=0.15)).state
+        integrate(u0, p, cfg, start=start,
+                  sink=lambda t, u: resumed.setdefault(t, u.values.tobytes()))
+        assert min(resumed) == start.t
+        later = {t: snap for t, snap in straight.items() if t > start.t}
+        assert len(later) == 4
+        assert {t: snap for t, snap in resumed.items() if t > start.t} == later
 
     def test_resuming_twice_from_one_state(self):
         g = make_grid(32)
