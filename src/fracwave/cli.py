@@ -317,6 +317,7 @@ def _write_report(path, payload) -> None:
     else:
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
+        sys.stdout.flush()
 
 
 def _sample_spec(args) -> SampleSpec:
@@ -518,6 +519,10 @@ def main(argv=None) -> int:
     except FracwaveError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BLOWUP
+    except BrokenPipeError as err:  # stdout's reader is gone: flush the rest to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {err.strerror}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -17,12 +17,12 @@ from (spec, parameters) and an n-sample report's ratios are a prefix of the
 Draws are evaluated as array programs, ``max(1, 4096 // N)`` samples (or
 dependence rows) at a time: a chunk takes its doubles in one
 ``rng.uniform`` call laid out in the sequential draw order and runs every
-operator on (rows, N) arrays.  Because each row of a transform equals the
-transform of that row alone, the stream, the ratios and G are bit-identical
-to drawing and evaluating one field at a time.  An operator value, norm
-or ratio that is not finite raises ``BlowUpError``; a chunk whose draw
-raises is drawn again a row at a time, so the error (and the grid index it
-names) is the one of the first failing sample, as one field at a time.
+operator on (rows, N/2+1) half spectra.  As each row of a transform equals
+that row's own, a report is bit-identical however it is chunked, and so is
+G to one pair at a time.  Operator values, draws, differences, norms and
+ratios are checked finite (``BlowUpError``); a chunk whose draw raises is
+drawn again a row at a time, so the error is the first failing sample's
+first error.  The ratios match the field-level operators to round-off.
 """
 
 from __future__ import annotations
@@ -33,15 +33,16 @@ import numpy as np
 
 from .errors import BlowUpError, NamedChoice, ParameterError
 from .models import ModelParams
-from .operators import OperatorPlan, as_order, masked_product
+from .operators import OperatorPlan, as_order
 from .spectral import (
     Grid,
     RealField,
     coeffs_of,
+    half_coeffs_of,
+    half_values_of,
     require_finite,
     sobolev_norms,
     sobolev_weight,
-    values_of,
 )
 from .timestepper import AUTO, Outcome, SolverConfig, integrate, integrate_batch, resolve_dt
 
@@ -117,7 +118,8 @@ def _check_seed(seed: int) -> None:
 def random_band_limited(grid: Grid, band_limit: int, rng) -> RealField:
     """One smooth random field: uniform phases, |k|^-2 envelope, zero mean."""
     _check_band(grid, band_limit)
-    return RealField(grid, _band_limited(grid, rng.uniform(0.0, 2.0 * np.pi, band_limit)))
+    phases = rng.uniform(0.0, 2.0 * np.pi, band_limit)
+    return RealField(grid, half_values_of(_band_limited(grid, phases), grid.n_points))
 
 
 def _check_band(grid: Grid, band_limit: int) -> None:
@@ -126,13 +128,12 @@ def _check_band(grid: Grid, band_limit: int) -> None:
 
 
 def _band_limited(grid: Grid, phases: np.ndarray) -> np.ndarray:
-    """Values of the fields of ``random_band_limited`` with the given
-    phases, shape (..., band) -> (..., N)."""
-    coeffs = np.zeros(phases.shape[:-1] + (grid.n_points,), dtype=np.complex128)
+    """Half spectra of the fields of ``random_band_limited`` with the given
+    phases, shape (..., band) -> (..., N/2+1)."""
+    coeffs = np.zeros(phases.shape[:-1] + (grid.n_points // 2 + 1,), dtype=np.complex128)
     idx = np.arange(1, phases.shape[-1] + 1)
     coeffs[..., idx] = np.abs(grid.k[idx]) ** -2.0 * np.exp(1j * phases)
-    coeffs[..., -idx] = np.conj(coeffs[..., idx])
-    return values_of(coeffs)
+    return coeffs
 
 
 # A chunk of draws holds about this many grid values per field: enough rows
@@ -151,9 +152,7 @@ class _Fields:
     ``draw`` takes a chunk's doubles in one ``rng.uniform`` call whose
     per-column bounds lay out the sequential draw order, so the stream is
     the one ``random_band_limited`` and ``rng.uniform(0.2, 1.0)`` would
-    consume field by field.  Every array a field-at-a-time evaluation
-    would hold in a ``RealField`` passes ``require_finite``, and so does
-    every norm.
+    consume field by field.  Fields are half spectra.
     """
 
     def __init__(self, grid: Grid, band: int):
@@ -171,22 +170,23 @@ class _Fields:
                             (rows, sum(widths)))
         return np.split(draws, np.cumsum(widths)[:-1], axis=1)
 
-    def norm(self, values: np.ndarray, s: float) -> np.ndarray:
+    def norm(self, half: np.ndarray, s: float) -> np.ndarray:
         weight = self._weights.get(s)
         if weight is None:
             weight = self._weights[s] = sobolev_weight(self.grid, s)
-        norms = sobolev_norms(self.grid, coeffs_of(values), weight)
+        norms = sobolev_norms(self.grid, half, weight)
         if not np.isfinite(norms).all():
             raise BlowUpError(f"H^{s:g} norm overflows")
         return norms
 
     def diff_norm(self, a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
-        return self.norm(require_finite(a - b), s)
+        """Norms of a - b: half spectra, or grid values if ``a`` is real."""
+        diff = require_finite(a - b)
+        return self.norm(diff if np.iscomplexobj(diff) else half_coeffs_of(diff), s)
 
     def scaled(self, phases: np.ndarray, s: float, target) -> np.ndarray:
-        """Fields rescaled to H^s norm ``target``: a number, one per row,
-        or a (D, 1) column, which gives D stacked copies of the rows."""
-        u = require_finite(_band_limited(self.grid, phases))
+        """Fields rescaled to H^s norm ``target``, a number or one per row."""
+        u = _band_limited(self.grid, phases)
         return require_finite(u * (target / self.norm(u, s))[..., None])
 
 
@@ -235,29 +235,19 @@ def commutator_estimate_sample(
     any computation.
     """
     nu = as_order(nu)
-    if not m > 0:
-        raise ParameterError(f"commutator estimate needs m > 0, got m={m}")
-    if not s >= 0:
-        raise ParameterError(f"commutator estimate needs s >= 0, got s={s}")
-    if not s + m > 1.5:
-        raise ParameterError(
-            f"commutator estimate needs s + m > 3/2, got s + m = {s + m}"
-        )
-    if not s + m <= sigma:
-        raise ParameterError(
-            f"commutator estimate needs s + m <= sigma, got {s + m} > {sigma}"
-        )
-    grid = spec.grid
-    fields, ops = _Fields(grid, spec.band_limit), OperatorPlan(grid, nu.value)
+    for holds, need in ((m > 0, f"m > 0, got m={m}"), (s >= 0, f"s >= 0, got s={s}"),
+                        (s + m > 1.5, f"s + m > 3/2, got s + m = {s + m}"),
+                        (s + m <= sigma, f"s + m <= sigma, got {s + m} > {sigma}")):
+        if not holds:
+            raise ParameterError(f"commutator estimate needs {need}")
+    fields, ops = _Fields(spec.grid, spec.band_limit), OperatorPlan(spec.grid, nu.value)
 
     def draw(rng, rows):
         f_phases, g_phases = fields.draw(rng, rows, ("phases", "phases"))
         f = fields.scaled(f_phases, sigma, spec.amplitude)
         g = fields.scaled(g_phases, s + m - 1.0, spec.amplitude)
-        f_lam_g = masked_product(grid, f, ops.lambda_pow(g, m))
-        lam_fg = ops.lambda_pow(require_finite(masked_product(grid, f, g)), m)
-        return (fields.diff_norm(f_lam_g, lam_fg, s),
-                fields.norm(f, sigma) * fields.norm(g, s + m - 1.0))
+        comm, _ = ops.commutator(ops.lambda_symbol(m), half_values_of(f, spec.grid.n_points), g)
+        return fields.norm(comm, s), fields.norm(f, sigma) * fields.norm(g, s + m - 1.0)
 
     return _sample_report("commutator", {"m": m, "s": s, "sigma": sigma, "nu": nu.value},
                           spec, draw)
@@ -392,10 +382,11 @@ def continuous_dependence_experiment(
     scales = np.asarray(deltas, dtype=float)[:, None]
 
     def draw(rng, rows):
-        """(delta, direction) rows of perturbed data and their d0."""
+        """(delta, direction) rows of perturbed data, scaled on the grid, and their d0."""
         (phases,) = fields.draw(rng, rows, ("phases",))
-        perturbed0 = require_finite(u0.values + fields.scaled(phases, s - 1.0, scales))
-        perturbed0 = perturbed0.reshape(-1, grid.n_points)
+        p = require_finite(half_values_of(_band_limited(grid, phases), grid.n_points))
+        p = require_finite(p * (scales / fields.norm(half_coeffs_of(p), s - 1.0))[..., None])
+        perturbed0 = require_finite(u0.values + p).reshape(-1, grid.n_points)
         return perturbed0, fields.diff_norm(perturbed0, u0.values, s - 1.0)
 
     reports = [DependenceReport(delta, [], 0, n_pairs, s - 1.0) for delta in deltas]

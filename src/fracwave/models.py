@@ -28,12 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NamedChoice, ParameterError
-from .operators import (
-    FractionalOrder,
-    OperatorPlan,
-    as_order,
-    laplacian_symbol,
-)
+from .operators import FractionalOrder, _on_fields, laplacian_symbol
 from .spectral import (
     Grid,
     RealField,
@@ -213,8 +208,7 @@ def rhs_quasilinear_normalized(u: RealField, nu) -> RealField:
     normalization that the estimate probes exercise, not a rescaling of
     any of the physical coefficient sets.
     """
-    ops = OperatorPlan(u.grid, as_order(nu).value)
-    return RealField(u.grid, -ops.apply_A(u.values, u.values) + ops.apply_f(u.values))
+    return _on_fields(nu, lambda ops, u_hat: ops.apply_f(u_hat) - ops.apply_A(u_hat, u_hat), u)
 
 
 # -- dispersion and conserved functionals --------------------------------

@@ -16,7 +16,9 @@ equations and the estimate probes:
     f(u)         = Lam^(-2nu) d/dx (u^2)
 
 Every pointwise product is followed by the 2/3-rule truncation so the
-quadratic terms stay spectrally consistent.
+quadratic terms stay spectrally consistent.  ``OperatorPlan`` leaves the
+half spectrum only for those products (``masked_product``, which checks
+them on the grid); ``require_finite`` checks each spectrum it returns.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from .errors import ParameterError
 from .spectral import (
     Grid,
     RealField,
-    coeffs_of,
+    half_coeffs_of,
+    half_values_of,
     require_finite,
     require_same_grid,
-    values_of,
 )
 
 
@@ -70,8 +72,8 @@ def as_order(nu) -> FractionalOrder:
 # -- raw-array kernels ---------------------------------------------------
 #
 # The field-level operators below and the model right-hand sides all
-# reduce to these.  They take and return coefficient/value arrays along
-# the last axis, so a (..., N) array is a batch of rows evaluated at once.
+# reduce to these.  They act along the last axis, so a (..., N/2+1) half
+# spectrum array is a batch of rows evaluated at once.
 
 def laplacian_symbol(grid: Grid, nu: float) -> np.ndarray:
     """|k|^(2 nu), with the k=0 entry exactly 0."""
@@ -86,68 +88,80 @@ def lambda_symbol(grid: Grid, p: float, nu: float) -> np.ndarray:
 
 
 def masked_product(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise product of two value arrays, dealiased (2/3 rule)."""
-    return values_of(grid.dealias_keep * coeffs_of(a * b))
-
-
-def _mult(grid: Grid, sym: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    return values_of(sym * coeffs_of(vals))
+    """Half spectrum of the pointwise product of two value arrays, checked
+    finite on the grid and dealiased (2/3 rule)."""
+    return grid.dealias_keep[: grid.n_points // 2 + 1] * half_coeffs_of(require_finite(a * b))
 
 
 class OperatorPlan:
-    """``lambda_pow``, ``apply_A``, ``apply_B`` and ``apply_f`` on one grid
-    and order nu, as array kernels over value arrays of shape (..., N).
+    """``lambda_pow``, ``commutator``, ``apply_A``, ``apply_B`` and
+    ``apply_f`` on one grid and order nu, as array kernels over ``rfft``
+    half spectra of shape (..., N/2+1).
 
     Each symbol is built once per plan, on first use, so a caller
-    evaluating many fields builds it once.  Every method returns
-    the values of its field-level namesake, row by row bit for bit, and
-    raises ``BlowUpError`` at a non-finite result or intermediate, as
-    that namesake does.
+    evaluating many fields builds it once.  Each row of a result equals
+    that row's own evaluation bit for bit.
     """
 
     def __init__(self, grid: Grid, nu: float):
         self.grid = grid
         self.nu = nu
+        self._half = grid.n_points // 2 + 1
+        self._ik = grid._ik[: self._half]
         self._lambda = {}
 
     @cached_property
     def lap(self) -> np.ndarray:
-        return laplacian_symbol(self.grid, self.nu)
+        return laplacian_symbol(self.grid, self.nu)[: self._half]
 
     def lambda_symbol(self, p: float) -> np.ndarray:
         sym = self._lambda.get(p)
         if sym is None:
             if not np.isfinite(p):
                 raise ParameterError(f"lambda power must be finite, got {p}")
-            sym = self._lambda[p] = lambda_symbol(self.grid, p, self.nu)
+            sym = self._lambda[p] = lambda_symbol(self.grid, p, self.nu)[: self._half]
         return sym
 
-    def lambda_pow(self, vals: np.ndarray, p: float) -> np.ndarray:
-        return require_finite(_mult(self.grid, self.lambda_symbol(p), vals))
+    def lambda_pow(self, w_hat: np.ndarray, p: float) -> np.ndarray:
+        return require_finite(self.lambda_symbol(p) * w_hat)
 
-    def apply_A(self, u: np.ndarray, z: np.ndarray) -> np.ndarray:
-        grid, lap = self.grid, self.lap
-        zx = values_of(grid._ik * coeffs_of(z))
-        u_zx = masked_product(grid, u, zx)
-        comm = masked_product(grid, u, _mult(grid, lap, zx)) - _mult(grid, lap, u_zx)
-        return require_finite(zx + u_zx + _mult(grid, self.lambda_symbol(-2.0 * self.nu), comm))
+    def commutator(self, sym: np.ndarray, u: np.ndarray, w_hat: np.ndarray):
+        """([u, S] w, (u w)^) = (u S w - S(u w), u w), products dealiased, for
+        the symbol ``sym`` of S, grid values ``u`` and the spectrum ``w_hat``."""
+        vals = half_values_of(np.stack([sym * w_hat, w_hat]), self.grid.n_points)
+        prods = masked_product(self.grid, u, vals)
+        # a finite commutator implies a finite (u w)^, S being finite
+        return require_finite(prods[0] - sym * prods[1]), prods[1]
 
-    def apply_B(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        inner = self.apply_A(u, self.lambda_pow(w, -1.0))
-        return require_finite(self.lambda_pow(inner, 1.0) - self.apply_A(u, w))
+    def apply_A(self, u_hat: np.ndarray, z_hat: np.ndarray) -> np.ndarray:
+        zx = self._ik * z_hat
+        comm, u_zx = self.commutator(self.lap, half_values_of(u_hat, self.grid.n_points), zx)
+        return require_finite(zx + u_zx + self.lambda_symbol(-2.0 * self.nu) * comm)
 
-    def apply_f(self, u: np.ndarray) -> np.ndarray:
-        grid = self.grid
-        sq_hat = grid.dealias_keep * coeffs_of(u * u)
-        return require_finite(values_of(self.lambda_symbol(-2.0 * self.nu) * grid._ik * sq_hat))
+    def apply_B(self, u_hat: np.ndarray, w_hat: np.ndarray) -> np.ndarray:
+        # A(u) of [Lam^(-1) w, w] in one call, u broadcast over the pair
+        inner, outer = self.apply_A(u_hat, np.stack([self.lambda_pow(w_hat, -1.0), w_hat]))
+        return require_finite(self.lambda_pow(inner, 1.0) - outer)
+
+    def apply_f(self, u_hat: np.ndarray) -> np.ndarray:
+        u = half_values_of(u_hat, self.grid.n_points)
+        sq_hat = masked_product(self.grid, u, u)
+        return require_finite(self.lambda_symbol(-2.0 * self.nu) * self._ik * sq_hat)
+
+
+def _on_fields(nu, kernel, *fields) -> RealField:
+    """``kernel(plan, *half spectra of fields)`` as a field on their grid."""
+    grid = require_same_grid(*fields)
+    halves = [half_coeffs_of(f.values) for f in fields]
+    out = kernel(OperatorPlan(grid, as_order(nu).value), *halves)
+    return RealField(grid, half_values_of(out, grid.n_points))
 
 
 # -- field-level operators ----------------------------------------------
 
 def fractional_laplacian(u: RealField, nu) -> RealField:
     """(-d^2/dx^2)^nu u.  Annihilates the mean."""
-    nu = as_order(nu)
-    return RealField(u.grid, _mult(u.grid, laplacian_symbol(u.grid, nu.value), u.values))
+    return _on_fields(nu, lambda ops, u_hat: ops.lap * u_hat, u)
 
 
 def lambda_pow(u: RealField, p: float, nu) -> RealField:
@@ -156,8 +170,7 @@ def lambda_pow(u: RealField, p: float, nu) -> RealField:
     Negative powers are fine (the symbol never vanishes); p = 0 is the
     identity.
     """
-    nu = as_order(nu)
-    return RealField(u.grid, OperatorPlan(u.grid, nu.value).lambda_pow(u.values, p))
+    return _on_fields(nu, lambda ops, u_hat: ops.lambda_pow(u_hat, p), u)
 
 
 def helmholtz_inverse(u: RealField, mu: float, nu) -> RealField:
@@ -168,35 +181,25 @@ def helmholtz_inverse(u: RealField, mu: float, nu) -> RealField:
     nu = as_order(nu)
     if not (np.isfinite(mu) and mu > 0):
         raise ParameterError(f"helmholtz coefficient mu must be positive, got {mu}")
-    sym = 1.0 / (1.0 + mu * laplacian_symbol(u.grid, nu.value))
-    return RealField(u.grid, _mult(u.grid, sym, u.values))
+    return _on_fields(nu, lambda ops, u_hat: u_hat / (1.0 + mu * ops.lap), u)
 
 
 def commutator_apply(u: RealField, w: RealField, nu) -> RealField:
     """[u, (-d^2/dx^2)^nu] w = u * L_nu w - L_nu(u * w), products dealiased."""
-    nu = as_order(nu)
-    grid = require_same_grid(u, w)
-    lap = laplacian_symbol(grid, nu.value)
-    first = masked_product(grid, u.values, _mult(grid, lap, w.values))
-    second = _mult(grid, lap, masked_product(grid, u.values, w.values))
-    return RealField(grid, first - second)
+    require_same_grid(u, w)
+    return _on_fields(nu, lambda ops, w_hat: ops.commutator(ops.lap, u.values, w_hat)[0], w)
 
 
 def apply_A(u: RealField, z: RealField, nu) -> RealField:
     """Quasi-linear advection operator A(u) z = (1+u) z_x + Lam^(-2nu)[u, L_nu] z_x."""
-    nu = as_order(nu)
-    grid = require_same_grid(u, z)
-    return RealField(grid, OperatorPlan(grid, nu.value).apply_A(u.values, z.values))
+    return _on_fields(nu, OperatorPlan.apply_A, u, z)
 
 
 def apply_B(u: RealField, w: RealField, nu) -> RealField:
     """B(u) w = Lam(A(u)(Lam^(-1) w)) - A(u) w, the conjugation defect of A by Lam."""
-    nu = as_order(nu)
-    grid = require_same_grid(u, w)
-    return RealField(grid, OperatorPlan(grid, nu.value).apply_B(u.values, w.values))
+    return _on_fields(nu, OperatorPlan.apply_B, u, w)
 
 
 def apply_f(u: RealField, nu) -> RealField:
     """Nonlinear source f(u) = Lam^(-2nu) d/dx (u^2), square dealiased."""
-    nu = as_order(nu)
-    return RealField(u.grid, OperatorPlan(u.grid, nu.value).apply_f(u.values))
+    return _on_fields(nu, OperatorPlan.apply_f, u)

@@ -93,13 +93,13 @@ def _first_nonfinite(values) -> int | None:
 
 
 def require_finite(values: np.ndarray) -> np.ndarray:
-    """``values``, grid values along the last axis, if every entry is
-    finite; otherwise the ``BlowUpError`` a ``RealField`` of the first row
-    holding a non-finite entry raises."""
+    """``values`` if finite; otherwise the ``BlowUpError`` a ``RealField`` (real:
+    grid values) or ``SpectralField`` (complex) of the first bad row raises."""
     idx = _first_nonfinite(values)
     if idx is not None:
         idx %= values.shape[-1]
-        raise BlowUpError(f"non-finite field value at grid index {idx}", index=idx)
+        what = "coefficient at spectral" if np.iscomplexobj(values) else "field value at grid"
+        raise BlowUpError(f"non-finite {what} index {idx}", index=idx)
     return values
 
 
@@ -144,13 +144,8 @@ class SpectralField:
                 f"spectrum has {coeffs.shape} coefficients for a grid of "
                 f"{self.grid.n_points} points"
             )
-        idx = _first_nonfinite(coeffs)
-        if idx is not None:
-            raise BlowUpError(
-                f"non-finite coefficient at spectral index {idx}", index=idx
-            )
         coeffs.setflags(write=False)
-        self.coefficients = coeffs
+        self.coefficients = require_finite(coeffs)
 
     @classmethod
     def zeros(cls, grid: Grid) -> "SpectralField":
@@ -278,25 +273,37 @@ def derivative(u: RealField) -> RealField:
 
 
 def sobolev_weight(grid: Grid, s: float) -> np.ndarray:
-    """The Bessel weight (1+k^2)^s of each coefficient in the H^s norm."""
+    """The weight of each half-spectrum coefficient in the squared H^s norm:
+    (1+k^2)^s, twice at interior indices, which stand for a conjugate pair."""
     if not np.isfinite(s):
         raise ParameterError(f"Sobolev index must be finite, got {s}")
-    return (1.0 + grid.k**2) ** s
+    weight = (1.0 + grid.k[: grid.n_points // 2 + 1] ** 2) ** s
+    weight[1:-1] *= 2.0
+    return weight
 
 
-def sobolev_norms(grid: Grid, coeffs: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """H^s norms along the last axis of full spectra, for ``weight`` =
-    ``sobolev_weight(grid, s)``."""
-    return np.sqrt(grid.length * np.sum(weight * np.abs(coeffs) ** 2, axis=-1))
+def sobolev_norms(grid: Grid, half: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """H^s norms along the last axis of half spectra, for ``weight`` =
+    ``sobolev_weight(grid, s)``.  A row whose sum of squares overflows is
+    summed again scaled exactly by a power of two; no other row changes."""
+    norms_of = lambda c: np.sqrt(grid.length * np.sum(weight * np.abs(c) ** 2, axis=-1))
+    norms = norms_of(half)
+    big = ~np.isfinite(norms)
+    if big.any():  # exponent 0 leaves a row as it is
+        exp = np.where(big, np.frexp(np.abs(half).max(axis=-1))[1], 0)
+        norms = np.ldexp(norms_of(half * np.ldexp(1.0, -exp)[..., None]), exp)
+    return norms
 
 
 def sobolev_norm(u, s: float) -> float:
     """H^s norm with the Bessel weight: ( L * sum_k (1+k^2)^s |u_hat_k|^2 )^(1/2).
 
-    Accepts either a RealField or a SpectralField.
+    Accepts either a RealField or a SpectralField; a SpectralField is read
+    as the spectrum of a real field, from its indices 0..N/2.
     """
-    coeffs = coeffs_of(u.values) if isinstance(u, RealField) else u.coefficients
-    return float(sobolev_norms(u.grid, coeffs, sobolev_weight(u.grid, s)))
+    n = u.grid.n_points
+    half = half_coeffs_of(u.values) if isinstance(u, RealField) else u.coefficients[: n // 2 + 1]
+    return float(sobolev_norms(u.grid, half, sobolev_weight(u.grid, s)))
 
 
 def inner_product(u: RealField, v: RealField) -> float:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import BlowUpError, CheckpointError, NamedChoice, ParameterError
 from .models import ModelKind, ModelParams, dispersion_speed, make_rhs
-from .spectral import Grid, RealField, coeffs_of, half_coeffs_of, half_values_of
+from .spectral import Grid, RealField, half_coeffs_of, half_values_of, sobolev_weight
 
 AUTO = "auto"
 
@@ -274,15 +274,13 @@ def _slope_stats(grid: Grid, u_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.take_along_axis(ux, i[..., None], axis=-1)[..., 0], grid.x[i]
 
 
-def _tail_fraction(u: RealField) -> float:
-    grid = u.grid
-    coeffs = coeffs_of(u.values)
-    energy = np.abs(coeffs) ** 2
+def _tail_fraction(grid: Grid, u_hat: np.ndarray) -> float:
+    energy = sobolev_weight(grid, 0.0) * np.abs(u_hat) ** 2  # interior modes count twice
     total = float(energy.sum())
     if total == 0.0:
         return 0.0
     band_max = grid.n_points // 3  # retained band under the 2/3 rule
-    tail = np.abs(grid.modes) > band_max / 2  # its top octave and beyond
+    tail = np.abs(grid.modes[: len(energy)]) > band_max / 2  # its top octave and beyond
     return float(energy[tail].sum()) / total
 
 
@@ -305,10 +303,11 @@ def detect_breaking(state: SimulationState, config: SolverConfig) -> BreakingRep
     resolution guard are both exceeded; otherwise None.  The breaking time
     is fitted to the slope history, with (t, min slope) added unless the
     history already ends at t."""
-    min_slope, location = map(float, _slope_stats(state.u.grid, _spectrum_of(state)))
+    grid, u_hat = state.u.grid, _spectrum_of(state)
+    min_slope, location = map(float, _slope_stats(grid, u_hat))
     if min_slope > -config.breaking_slope_threshold:
         return None
-    tail = _tail_fraction(state.u)
+    tail = _tail_fraction(grid, u_hat)
     if tail <= config.tail_fraction_threshold:
         return None
     history = state.min_slope_history

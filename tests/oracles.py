@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fracwave.spectral import Grid, RealField, dft_oracle
+from fracwave.spectral import Grid, RealField, coeffs_of, dft_oracle, values_of
 
 _MAX_N = 128
 
@@ -101,3 +101,9 @@ def f_oracle(grid: Grid, u: np.ndarray, nu: float) -> np.ndarray:
     proj = dealias_matrix(grid)
     lam_inv = lambda_matrix(grid, -2.0 * nu, nu)
     return lam_inv @ d @ proj @ (u * u)
+
+
+def masked_product(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise product of two value arrays, dealiased (2/3 rule) on the
+    full spectrum: the reference the half-spectrum kernels are checked by."""
+    return values_of(grid.dealias_keep * coeffs_of(a * b))

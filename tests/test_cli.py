@@ -515,20 +515,28 @@ class TestDiagnoseCommands:
         assert capsys.readouterr().err.startswith("error: non-finite field value")
         assert not report.exists()
 
-    @pytest.mark.parametrize("command,index", [
-        (["lipschitz", "--which", "a-lip", "--amplitude", "1e160"], "1.6"),
-        (["lipschitz", "--which", "b-lip", "--amplitude", "1e160"], "1.6"),
-        (["lipschitz", "--which", "b-bound", "--amplitude", "1e160"], "1.6"),
-        (["lipschitz", "--which", "f-lip-x", "--amplitude", "1e150"], "1.6"),
-        (["lipschitz", "--which", "f-lip-y", "--amplitude", "1e150"], "2.6"),
-        (["commutator", "--amplitude", "1e150"], "2"),
-    ], ids=["a-lip", "b-lip", "b-bound", "f-lip-x", "f-lip-y", "commutator"])
-    def test_overflowing_norm_exit_3(self, tmp_path, capsys, command, index):
-        report = tmp_path / "r.json"
-        code = main(["diagnose"] + command + ["--samples", "4", "--out", str(report)])
-        assert code == 3
-        assert capsys.readouterr().err.splitlines() == [f"error: H^{index} norm overflows"]
-        assert not report.exists()
+    @pytest.mark.parametrize("command,amplitude,degree", [
+        (["lipschitz", "--which", "a-lip"], "1e160", 0),
+        (["lipschitz", "--which", "b-lip"], "1e160", 0),
+        (["lipschitz", "--which", "b-bound"], "1e160", 1),
+        (["lipschitz", "--which", "f-lip-x"], "1e150", 1),
+        (["lipschitz", "--which", "f-lip-y"], "1e150", 1),
+        (["commutator"], "1e150", 0),
+        (["commutator"], "1e100", 0),
+    ], ids=["a-lip", "b-lip", "b-bound", "f-lip-x", "f-lip-y", "commutator", "commutator-1e100"])
+    def test_norms_past_the_square_range_keep_homogeneity(self, tmp_path, command, amplitude,
+                                                          degree):
+        # each ratio is homogeneous of degree 0 or 1 in the amplitude, and its
+        # norms square coefficients past 1e154: finite norms, not overflows
+        ratios = []
+        for amp in ("1", amplitude):
+            report = tmp_path / f"r{amp}.json"
+            code = main(["diagnose"] + command + ["--samples", "4", "--amplitude", amp,
+                                                  "--out", str(report)])
+            assert code == 0
+            ratios.append(np.array(json.loads(report.read_text())["ratios"]))
+        assert len(ratios[1]) == 4
+        assert np.allclose(ratios[1] / float(amplitude) ** degree, ratios[0], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("pairs", ["0", "-2"])
     def test_dependence_nonpositive_pairs_exit_1(self, tmp_path, capsys, pairs):
@@ -757,13 +765,33 @@ class TestExitCodeProperty:
             assert code == 1
 
 
-def _fracwave(args, cwd):
-    """``python -m fracwave`` with this checkout's package, run in ``cwd``."""
+def _fracwave_command(args):
+    """``python -m fracwave`` with this checkout's package: (argv, env)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "fracwave", *args], cwd=cwd,
-                          env=env, capture_output=True, text=True, timeout=120)
+    return [sys.executable, "-m", "fracwave", *args], env
+
+
+def _fracwave(args, cwd):
+    """``python -m fracwave`` with this checkout's package, run in ``cwd``."""
+    argv, env = _fracwave_command(args)
+    return subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_report_to_a_closed_stdout_exit_1(tmp_path):
+    # the reader stops after 10 bytes, as `| head -c 10` does, of a report
+    # far larger than a pipe holds
+    argv, env = _fracwave_command(
+        ["diagnose", "commutator", "--samples", "20000", "--n", "32", "--band", "8"])
+    with subprocess.Popen(argv, cwd=tmp_path, env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert head == '{\n  "estim'
+    assert (code, err.splitlines()) == (1, ["error: cannot write to stdout: Broken pipe"])
 
 
 def test_python_m_fracwave_version(tmp_path):

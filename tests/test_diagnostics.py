@@ -26,12 +26,20 @@ from fracwave import (
     random_band_limited,
     sobolev_norm,
 )
-from fracwave.diagnostics import _BATCH_ELEMENTS, LipschitzKind, StudyKind, _sample_report
+from fracwave import diagnostics
+from fracwave.diagnostics import (
+    _BATCH_ELEMENTS,
+    LipschitzKind,
+    StudyKind,
+    _Fields,
+    _sample_report,
+)
 from fracwave.models import ModelKind
-from fracwave.operators import lambda_pow, masked_product
+from fracwave.operators import lambda_pow
 from fracwave.spectral import require_finite
 from fracwave.timestepper import Integrator, Outcome, resolve_dt
 from conftest import TWO_PI, make_grid
+from oracles import masked_product
 
 
 def spec(n=64, samples=20, band=10, seed=3, amplitude=1.0):
@@ -228,13 +236,23 @@ class TestChunkedDraws:
     # N = 32 puts 128 samples in a chunk, so 259 samples make two whole
     # chunks and a partial one
     @pytest.mark.parametrize("name", list(SAMPLERS))
-    def test_equals_sample_by_sample_reference(self, name):
-        rows = _BATCH_ELEMENTS // 32
-        sp = spec(n=32, samples=2 * rows + 3, band=8, seed=17)
+    def test_equals_one_row_per_chunk(self, name, monkeypatch):
+        sp = spec(n=32, samples=2 * (_BATCH_ELEMENTS // 32) + 3, band=8, seed=17)
+        report = SAMPLERS[name](sp)
+        monkeypatch.setattr(diagnostics, "_chunk_rows", lambda grid: 1)
+        one_by_one = SAMPLERS[name](sp)
+        assert report.skipped == one_by_one.skipped
+        assert report.ratios == one_by_one.ratios
+
+    @pytest.mark.parametrize("name", list(SAMPLERS))
+    def test_equals_field_level_reference(self, name):
+        # the probes stay on the half spectrum between multipliers, the
+        # field-level operators go through grid values: round-off apart
+        sp = spec(n=32, samples=2 * (_BATCH_ELEMENTS // 32) + 3, band=8, seed=17)
         report = SAMPLERS[name](sp)
         ratios, skipped = reference_report(name, sp)
         assert report.skipped == skipped
-        assert report.ratios == ratios
+        assert np.allclose(report.ratios, ratios, rtol=1e-10, atol=0)
 
     def test_a_failing_chunk_raises_the_first_failing_samples_error(self):
         # sample 0 fails only the second check and sample 1 the first; a
@@ -257,6 +275,12 @@ class TestChunkedDraws:
 
         with pytest.raises(BlowUpError, match="grid index 5$"):
             _sample_report("probe", {}, sp, draw)
+
+    def test_a_norm_past_the_double_range_raises(self):
+        g = make_grid(32)
+        half = np.full(17, 1e308, dtype=complex)
+        with np.errstate(over="ignore"), pytest.raises(BlowUpError, match="^H.2 norm overflows$"):
+            _Fields(g, 8).norm(half, 2.0)
 
     def test_a_ratio_that_is_not_finite_raises(self):
         def draw(rng, rows):

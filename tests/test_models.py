@@ -20,9 +20,10 @@ from fracwave import (
     rhs_quasilinear_normalized,
     sobolev_norm,
 )
-from fracwave.operators import lambda_symbol, laplacian_symbol, masked_product
+from fracwave.operators import lambda_symbol, laplacian_symbol
 from fracwave.spectral import coeffs_of, values_of
 from conftest import make_grid, smooth_field
+from oracles import masked_product
 
 
 class TestModelParams:

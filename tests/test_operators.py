@@ -19,6 +19,7 @@ from fracwave import (
     sobolev_norm,
 )
 from fracwave.operators import OperatorPlan
+from fracwave.spectral import half_coeffs_of
 from conftest import make_grid, smooth_field
 import oracles
 
@@ -190,12 +191,14 @@ class TestQuasilinearPieces:
 
 
 class TestOperatorPlan:
-    @pytest.mark.parametrize("method", ["lambda_pow", "apply_A", "apply_f"])
+    @pytest.mark.parametrize("method", ["lambda_pow", "commutator", "apply_A", "apply_f"])
     def test_overflowing_result_raises(self, method):
         # the products in A and f square 1e200; Lam^60 multiplies mode 1 by 2^30
         g = make_grid(32)
         plan, u = OperatorPlan(g, 1.0), 1e200 * np.sin(g.x)
-        args = {"lambda_pow": (1e100 * u, 60.0), "apply_A": (u, u), "apply_f": (u,)}[method]
+        u_hat = half_coeffs_of(u)
+        args = {"lambda_pow": (1e100 * u_hat, 60.0), "commutator": (plan.lap, u, u_hat),
+                "apply_A": (u_hat, u_hat), "apply_f": (u_hat,)}[method]
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError):
             getattr(plan, method)(*args)
 

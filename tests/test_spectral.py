@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracwave import (
     BlowUpError,
@@ -268,6 +270,32 @@ class TestSobolevNorm:
         with pytest.raises(ParameterError):
             sobolev_norm(RealField.zeros(g), np.inf)
 
+    def test_finite_past_the_square_range(self):
+        # |u_hat|^2 of 1e200 sin x overflows, its norm does not
+        g = make_grid(64)
+        with np.errstate(over="ignore"):
+            big = sobolev_norm(RealField(g, 1e200 * np.sin(g.x)), 2.0)
+        assert big == pytest.approx(1e200 * sobolev_norm(RealField(g, np.sin(g.x)), 2.0),
+                                    rel=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([8, 10, 32, 96]), rows=st.integers(1, 4),
+           s=st.floats(0.0, 4.0), scale=st.sampled_from([1.0, 2.0**-500, 2.0**700]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_half_spectrum_equals_full_signed_sum(self, n, rows, s, scale, seed):
+        # random rows carry Nyquist content; a power-of-two scale is exact,
+        # and 2^700 overflows the plain sum of squares
+        g = make_grid(n)
+        values = np.random.default_rng(seed).standard_normal((rows, n))
+        weight = sobolev_weight(g, s)
+        with np.errstate(over="ignore"):
+            norms = sobolev_norms(g, half_coeffs_of(scale * values), weight)
+            for i in range(rows):
+                alone = sobolev_norms(g, half_coeffs_of(scale * values[i]), weight)
+                assert norms[i] == alone
+        full = np.sum((1.0 + g.k**2) ** s * np.abs(coeffs_of(values)) ** 2, axis=-1)
+        assert np.allclose(norms, scale * np.sqrt(g.length * full), rtol=1e-14, atol=0)
+
 
 class TestRowKernels:
     # the batched probes and trajectories report the same numbers as one
@@ -282,7 +310,7 @@ class TestRowKernels:
         coeffs = coeffs_of(values)
         half = half_coeffs_of(values)
         weight = sobolev_weight(g, 2.5)
-        norms = sobolev_norms(g, coeffs, weight)
+        norms = sobolev_norms(g, half, weight)
         back = values_of(coeffs)
         half_back = half_values_of(half, n)
         for i in range(m):

@@ -35,10 +35,11 @@ from fracwave import (
     make_params,
     rk4_step,
 )
-from fracwave.operators import laplacian_symbol, masked_product
+from fracwave.operators import laplacian_symbol
 from fracwave.timestepper import _fit_breaking_time, integrate_batch
 from fracwave.spectral import coeffs_of, half_coeffs_of, half_values_of, values_of
 from conftest import TWO_PI, make_grid, smooth_field
+from oracles import masked_product
 
 
 def advection_params():
