@@ -9,6 +9,9 @@ Exit codes are a stable contract:
 
 Every run directory receives snapshot CSVs, a final checkpoint, and a
 manifest.json that is written even when the run ends early.
+
+Each command imports the modules it runs when it starts: a run loads no
+diagnostics, a probe no solver.
 """
 
 from __future__ import annotations
@@ -17,35 +20,14 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .config import (
-    RunConfig,
-    apply_overrides,
-    build_initial,
-    load_config,
-    validate_config,
-    write_manifest,
-    write_snapshot,
-)
-from .diagnostics import (
-    SampleSpec,
-    StudyKind,
-    commutator_estimate_sample,
-    continuous_dependence_experiment,
-    convergence_study,
-    fit_phase_speed,
-    kato_lipschitz_sample,
-)
+from .atomic import write_manifest
 from .errors import CheckpointError, ConfigError, FracwaveError, ParameterError
-from .models import fbbm_energy, mass, momentum
-from .spectral import Grid, coeffs_of
-from .timestepper import Outcome, checkpoint_read, checkpoint_write, integrate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,6 +90,10 @@ class _SnapshotWriter:
         self._mode = mode
 
     def __call__(self, t, u):
+        from .config import write_snapshot
+        from .models import fbbm_energy, mass, momentum
+        from .spectral import coeffs_of
+
         name = f"snap_{len(self.entries):06d}.csv"
         path = os.path.join(self.directory, name)
         with _writing("snapshot", path):
@@ -155,9 +141,13 @@ def _make_output_dir(path) -> None:
         ) from None
 
 
-def _execute_run(run_cfg: RunConfig, out_dir: str, start_state=None):
-    """Run one trajectory for run, resume or a sweep point; returns the
-    exit code and the manifest."""
+def _execute_run(run_cfg, out_dir: str, start_state=None):
+    """Run one trajectory of a ``RunConfig`` for run, resume or a sweep
+    point; returns the exit code and the manifest."""
+    from .config import build_initial
+    from .spectral import fit_phase_speed
+    from .timestepper import Outcome, checkpoint_write, integrate
+
     u0 = start_state.u if start_state else build_initial(run_cfg.initial, run_cfg.grid)
     _make_output_dir(out_dir)
     mode = run_cfg.initial.params["k"] if run_cfg.initial.kind == "mode" else None
@@ -218,11 +208,16 @@ def _execute_run(run_cfg: RunConfig, out_dir: str, start_state=None):
 
 
 def cmd_run(args) -> int:
+    from .config import load_config
+
     run_cfg = load_config(args.config, args.set or (), args.allow_low_nu)
     return _execute_run(run_cfg, run_cfg.output.directory)[0]
 
 
 def cmd_resume(args) -> int:
+    from .config import load_config
+    from .timestepper import checkpoint_read
+
     run_cfg = load_config(args.config, args.set or (), args.allow_low_nu)
     state = checkpoint_read(args.checkpoint)
     if state.u.grid != run_cfg.grid:
@@ -250,6 +245,8 @@ def _numbers(text, command, item, option) -> list:
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"sweep --jobs must be >= 1, got {args.jobs}")
+    from .config import apply_overrides, load_config, validate_config
+
     run_cfg = load_config(args.config, args.set or (), args.allow_low_nu)
     # point directories are named by value to 15 significant digits; values
     # that share a name would share a directory, so later ones are dropped
@@ -295,6 +292,8 @@ def cmd_sweep(args) -> int:
             }
 
     if args.jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             points = list(pool.map(one_point, points_by_name))
     else:
@@ -320,7 +319,10 @@ def _write_report(path, payload) -> None:
         sys.stdout.flush()
 
 
-def _sample_spec(args) -> SampleSpec:
+def _sample_spec(args):
+    from .diagnostics import SampleSpec
+    from .spectral import Grid
+
     return SampleSpec(
         n_samples=args.samples,
         grid=Grid(length=args.length, n_points=args.n),
@@ -350,6 +352,8 @@ def _diagnose_samples(args, spec, sample, refinements) -> int:
 
 
 def cmd_diagnose_commutator(args) -> int:
+    from .diagnostics import commutator_estimate_sample
+
     spec = _sample_spec(args)
     return _diagnose_samples(
         args, spec,
@@ -360,6 +364,8 @@ def cmd_diagnose_commutator(args) -> int:
 
 
 def cmd_diagnose_lipschitz(args) -> int:
+    from .diagnostics import kato_lipschitz_sample
+
     spec = _sample_spec(args)
     return _diagnose_samples(
         args, spec,
@@ -369,6 +375,9 @@ def cmd_diagnose_lipschitz(args) -> int:
 
 
 def cmd_diagnose_dependence(args) -> int:
+    from .config import build_initial, load_config
+    from .diagnostics import continuous_dependence_experiment
+
     run_cfg = load_config(args.config, args.set or (), args.allow_low_nu)
     u0 = build_initial(run_cfg.initial, run_cfg.grid)
     reports = continuous_dependence_experiment(
@@ -389,6 +398,9 @@ def cmd_diagnose_dependence(args) -> int:
 
 
 def cmd_diagnose_convergence(args) -> int:
+    from .config import build_initial, load_config
+    from .diagnostics import StudyKind, convergence_study
+
     run_cfg = load_config(args.config, args.set or (), args.allow_low_nu)
     kind = StudyKind.from_string(args.kind)
     initial = lambda grid: build_initial(run_cfg.initial, grid).values

@@ -23,10 +23,11 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from .atomic import open_atomic, write_manifest  # noqa: F401  (a public name here)
 from .errors import BlowUpError, ConfigError, ParameterError
 from .models import Coefficients, ModelKind, ModelParams, default_coefficients, make_params
 from .spectral import Grid, RealField
-from .timestepper import AUTO, Integrator, SolverConfig, open_atomic, write_atomic
+from .timestepper import AUTO, Integrator, SolverConfig
 
 # Each key table maps a section's allowed keys to their JSON kind.  Only
 # keys present in the file are passed on, so every default lives in the
@@ -331,10 +332,3 @@ def read_snapshot(path):
         raise ConfigError(f"snapshot {path} must have exactly two columns")
     return data[:, 0], data[:, 1]
 
-
-# -- manifest -----------------------------------------------------------------
-
-def write_manifest(path, manifest: dict) -> None:
-    """Write a JSON document (run manifest, sweep summary, diagnose report)
-    atomically."""
-    write_atomic(path, (json.dumps(manifest, indent=2) + "\n").encode())

@@ -28,23 +28,27 @@ first error.  The ratios match the field-level operators to round-off.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import BlowUpError, NamedChoice, ParameterError
-from .models import ModelParams
 from .operators import OperatorPlan, as_order
 from .spectral import (
     Grid,
     RealField,
     coeffs_of,
+    fit_phase_speed,
     half_coeffs_of,
     half_values_of,
     require_finite,
     sobolev_norms,
     sobolev_weight,
 )
-from .timestepper import AUTO, Outcome, SolverConfig, integrate, integrate_batch, resolve_dt
+
+if TYPE_CHECKING:  # the probes run without the solver; its functions load where used
+    from .models import ModelParams
+    from .timestepper import SolverConfig
 
 _ZERO_DENOM = 1e-13
 
@@ -372,6 +376,8 @@ def continuous_dependence_experiment(
     if n_pairs < 1:
         raise ParameterError(f"dependence needs at least one pair, got {n_pairs}")
     _check_seed(seed)
+    from .timestepper import Outcome, integrate_batch, resolve_dt
+
     grid = u0.grid
     band = band_limit if band_limit is not None else max(2, grid.n_points // 6)
     # Fix dt once from the unperturbed data so all trajectories share a
@@ -445,6 +451,8 @@ class ConvergenceResult:
 
 
 def _final_field(initial, grid, model, config) -> RealField:
+    from .timestepper import Outcome, integrate
+
     u0 = RealField(grid, initial(grid))
     result = integrate(u0, model, config, sink=None)
     if result.outcome is not Outcome.COMPLETED:
@@ -477,6 +485,8 @@ def convergence_study(
     """
     if isinstance(kind, str):
         kind = StudyKind.from_string(kind)
+    from .timestepper import AUTO, resolve_dt
+
     # dt is fixed once, from the datum on the SPATIAL reference grid or on
     # the (length, n_points) grid
     base = Grid(length, n_points)
@@ -527,23 +537,6 @@ def convergence_study(
 
 
 # -- phase-speed measurement -------------------------------------------------
-
-def fit_phase_speed(times, coeffs, grid: Grid, mode: int) -> float:
-    """Phase speed of Fourier mode ``mode`` of ``grid`` from its
-    coefficients ``coeffs`` at ``times``.
-
-    Fits the unwrapped phase of u_hat_mode(t) against t; needs the mode
-    populated and at least two snapshots.
-    """
-    if len(times) < 2:
-        raise ParameterError("phase-speed fit needs at least two snapshots")
-    coeffs = np.asarray(coeffs)
-    if np.abs(coeffs).min() < 1e-300:
-        raise ParameterError(f"mode {mode} is not populated; cannot fit its phase")
-    phases = np.unwrap(np.angle(coeffs))
-    slope = np.polyfit(np.asarray(times, dtype=float), phases, 1)[0]
-    return float(-slope / grid.k[mode])
-
 
 def measure_phase_speed(times, fields, mode: int) -> float:
     """Phase speed of one Fourier mode from a snapshot series of fields;

@@ -33,6 +33,7 @@ from .spectral import (
     Grid,
     RealField,
     coeffs_of,
+    first_min,
     half_coeffs_of,
     half_values_of,
 )
@@ -113,6 +114,11 @@ class SpectralRHS:
     c_mix = 0 and both transforms when the model is linear.  The
     ``linearized`` kind always evaluates with c_nl = c_mix = 0.
 
+    ``with_slope`` also returns min u_x, read off the u_x row of that
+    inverse transform: a stepper's stage 1 then gives the state's breaking
+    slope with no transform of its own.  A model without the product rows
+    transforms ik u_hat for it.
+
     With ``linear=False`` the linear part, multiplier ``linear_symbol`` =
     -ik (c_adv + c_disp L) / (1 + c_evo L), is left out of the result, for
     a stepper that treats it exactly.
@@ -125,7 +131,7 @@ class SpectralRHS:
             c_nl = c_mix = 0.0
         half = grid.n_points // 2 + 1
         self.n_points = grid.n_points
-        ik = grid._ik[:half]  # signed layout: the first half is the rfft layout
+        self._ik = ik = grid._ik[:half]  # signed layout: the first half is the rfft layout
         lap = laplacian_symbol(grid, p.nu.value)[:half]
         inv_evo = 1.0 / (1.0 + c.c_evo * lap)
         keep = grid.dealias_keep[:half] if dealias else 1.0
@@ -148,10 +154,22 @@ class SpectralRHS:
     def __call__(self, u_hat: np.ndarray) -> np.ndarray:
         """du/dt of one half spectrum (N/2+1,) or of a batch (M, N/2+1),
         row by row bit-identical to the single-spectrum result."""
+        return self._evaluate(u_hat)[0]
+
+    def with_slope(self, u_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(du/dt, min u_x) of ``u_hat``: min u_x is each row's least grid
+        value of u_x, bit for bit that of transforming ik u_hat alone."""
+        out, ux = self._evaluate(u_hat)
+        if ux is None:
+            ux = half_values_of(self._ik * u_hat, self.n_points)
+        return out, first_min(ux)[0]
+
+    def _evaluate(self, u_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """du/dt, and the grid values of u_x when the product rows hold them."""
         if self._rows is None:
             if self._linear is None:
-                return np.zeros_like(u_hat)
-            return self._linear * u_hat
+                return np.zeros_like(u_hat), None
+            return self._linear * u_hat, None
         # the rows lead, so a spectrum and a batch index the same way below
         rows = self._rows if u_hat.ndim == 1 else self._rows[:, None, :]
         vals = half_values_of(rows * u_hat, self.n_points)
@@ -161,7 +179,7 @@ class SpectralRHS:
             out += self._weights[1] * prods[1]
         if self._linear is not None:
             out += self._linear * u_hat
-        return out
+        return out, vals[1]
 
     def field(self, u: RealField) -> RealField:
         """du/dt as a grid function."""

@@ -133,14 +133,20 @@ class OperatorPlan:
         # a finite commutator implies a finite (u w)^, S being finite
         return require_finite(prods[0] - sym * prods[1]), prods[1]
 
-    def apply_A(self, u_hat: np.ndarray, z_hat: np.ndarray) -> np.ndarray:
+    def apply_A(self, u_hat: np.ndarray, z_hat: np.ndarray, linear: bool = True) -> np.ndarray:
+        """A(u) z; ``linear=False`` leaves out its linear part z_x."""
         zx = self._ik * z_hat
         comm, u_zx = self.commutator(self.lap, half_values_of(u_hat, self.grid.n_points), zx)
-        return require_finite(zx + u_zx + self.lambda_symbol(-2.0 * self.nu) * comm)
+        return require_finite((zx + u_zx if linear else u_zx)
+                              + self.lambda_symbol(-2.0 * self.nu) * comm)
 
     def apply_B(self, u_hat: np.ndarray, w_hat: np.ndarray) -> np.ndarray:
-        # A(u) of [Lam^(-1) w, w] in one call, u broadcast over the pair
-        inner, outer = self.apply_A(u_hat, np.stack([self.lambda_pow(w_hat, -1.0), w_hat]))
+        # Lam, d/dx and Lam^(-1) commute, so the linear parts z_x of the two
+        # A(u) terms cancel exactly: both leave them out rather than subtract
+        # them in round-off.  A(u) of [Lam^(-1) w, w] in one call, u
+        # broadcast over the pair.
+        inner, outer = self.apply_A(u_hat, np.stack([self.lambda_pow(w_hat, -1.0), w_hat]),
+                                    linear=False)
         return require_finite(self.lambda_pow(inner, 1.0) - outer)
 
     def apply_f(self, u_hat: np.ndarray) -> np.ndarray:

@@ -11,9 +11,7 @@ Under this convention u_hat_0 is the mean of u and single-mode fields have
 coefficients of magnitude amplitude/2, which keeps hand-computed test
 values exact.
 
-The fast paths go through numpy.fft; ``dft_oracle`` is an independent
-O(N^2) direct summation with the same normalization, used by the test
-suite to cross-check the fast transforms.
+The transforms go through numpy.fft.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from .errors import (
 )
 
 _SYMMETRY_TOL = 1e-10
-_ORACLE_MAX_N = 1024
 
 
 @dataclass(frozen=True)
@@ -188,6 +185,14 @@ def half_values_of(coeffs: np.ndarray, n_points: int) -> np.ndarray:
     return np.fft.irfft(coeffs, n_points, norm="forward")
 
 
+def first_min(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's least value and its index along the last axis of one
+    array (N,) or a batch (M, N): the first one, so of -0.0 and 0.0 the
+    earlier is read."""
+    i = values.argmin(axis=-1)
+    return (values[i] if values.ndim == 1 else values[np.arange(len(values)), i]), i
+
+
 def symmetry_defect(coeffs: np.ndarray) -> float:
     """Max deviation from conjugate symmetry u_hat(-k) = conj(u_hat(k))."""
     n = len(coeffs)
@@ -216,23 +221,6 @@ def inverse_transform(field: SpectralField) -> RealField:
             f"scale {scale:.3e}); real output is undefined"
         )
     return RealField(field.grid, values_of(coeffs))
-
-
-def dft_oracle(u: RealField) -> SpectralField:
-    """Direct O(N^2) summation DFT with the package normalization.
-
-    Test-only correctness oracle; refuses grids larger than 1024 points
-    because of the quadratic cost.
-    """
-    n = u.grid.n_points
-    if n > _ORACLE_MAX_N:
-        raise ParameterError(
-            f"dft_oracle is quadratic and limited to N <= {_ORACLE_MAX_N}, got {n}"
-        )
-    j = np.arange(n)
-    # exp(-i k_m x_j) = exp(-2*pi*i*m*j/N) regardless of L
-    kernel = np.exp(-2j * np.pi * np.outer(j, j) / n)
-    return SpectralField(u.grid, kernel @ u.values / n)
 
 
 def apply_symbol(field: SpectralField, m) -> SpectralField:
@@ -310,3 +298,22 @@ def inner_product(u: RealField, v: RealField) -> float:
     """Discrete L^2 inner product, (L/N) * sum_j u_j v_j."""
     require_same_grid(u, v)
     return float(u.grid.spacing * np.dot(u.values, v.values))
+
+
+# -- phase-speed fit -------------------------------------------------------
+
+def fit_phase_speed(times, coeffs, grid: Grid, mode: int) -> float:
+    """Phase speed of Fourier mode ``mode`` of ``grid`` from its
+    coefficients ``coeffs`` at ``times``.
+
+    Fits the unwrapped phase of u_hat_mode(t) against t; needs the mode
+    populated and at least two snapshots.
+    """
+    if len(times) < 2:
+        raise ParameterError("phase-speed fit needs at least two snapshots")
+    coeffs = np.asarray(coeffs)
+    if np.abs(coeffs).min() < 1e-300:
+        raise ParameterError(f"mode {mode} is not populated; cannot fit its phase")
+    phases = np.unwrap(np.angle(coeffs))
+    slope = np.polyfit(np.asarray(times, dtype=float), phases, 1)[0]
+    return float(-slope / grid.k[mode])

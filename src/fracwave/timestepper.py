@@ -13,6 +13,12 @@ trajectories that share a grid and dt as one array program and returns
 one result per row, equal bit for bit to that row's own run;
 ``integrate`` (which also resumes from a checkpoint) is its one-row call.
 
+A step pays for no check beyond its update's: a non-finite stage always
+reaches the update, and a step that trips is taken again with a check
+after each stage, so the error still names the stage.  The per-step
+breaking slope, min u_x, is read off the next step's stage 1, whose
+inverse transform already holds u_x.
+
 Two integrators step the plan's state.  Classical RK4 (``rk4_step``)
 suits fCH and fBBM, whose linearized phase speed stays bounded as k grows
 (it tends to c_disp/c_evo), so the stiffness is only advective.  fKdV has
@@ -30,17 +36,23 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 import struct
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import BlowUpError, CheckpointError, NamedChoice, ParameterError
 from .models import ModelKind, ModelParams, dispersion_speed, make_rhs
-from .spectral import Grid, RealField, half_coeffs_of, half_values_of, sobolev_weight
+from .spectral import (
+    Grid,
+    RealField,
+    first_min,
+    half_coeffs_of,
+    half_values_of,
+    sobolev_weight,
+)
 
 AUTO = "auto"
 
@@ -140,6 +152,10 @@ class SimulationResult:
 
 # -- the step plan ---------------------------------------------------------
 
+def _unchecked(arr: np.ndarray, t: float, stage: int) -> np.ndarray:
+    return arr
+
+
 def _checked(arr: np.ndarray, t: float, stage: int) -> np.ndarray:
     # one reduction per stage; the indexed scan runs only when it trips
     # (a finite array whose sum or its modulus overflows passes the scan)
@@ -210,32 +226,45 @@ class StepPlan:
         else:
             self._step = rk4_step
 
-    def step(self, u_hat: np.ndarray, t: float) -> np.ndarray:
-        """u_hat one step of dt later.  Raises ``BlowUpError`` carrying t
-        and the stage (1-4, or 5 for the update) at the first non-finite
-        value."""
-        return self._step(self, u_hat, t)
+    def step(self, u_hat: np.ndarray, t: float, k1: np.ndarray | None = None) -> np.ndarray:
+        """u_hat one step of dt later; ``k1``, when given, is its stage 1,
+        ``rhs(u_hat)``.  Raises ``BlowUpError`` carrying t and the stage
+        (1-4, or 5 for the update) at the first non-finite value.
+
+        Only the update is checked.  Every stage enters it with a finite
+        nonzero weight, and a NaN or infinity never cancels to a finite
+        number, so a non-finite stage always trips that check; the step is
+        then taken again with a check after each stage, to name the stage.
+        """
+        try:
+            return self._step(self, u_hat, t, k1, _unchecked)
+        except BlowUpError:
+            return self._step(self, u_hat, t, k1, _checked)
 
 
-def rk4_step(plan: StepPlan, u_hat: np.ndarray, t: float) -> np.ndarray:
-    """One classical Runge-Kutta step of u_hat_t = plan.rhs(u_hat)."""
+def rk4_step(plan: StepPlan, u_hat: np.ndarray, t: float, k1: np.ndarray | None = None,
+             check=_checked) -> np.ndarray:
+    """One classical Runge-Kutta step of u_hat_t = plan.rhs(u_hat), each
+    stage passed through ``check(k, t, stage)``; ``k1`` is stage 1 when
+    already evaluated."""
     f, dt = plan.rhs, plan.dt
-    k1 = _checked(f(u_hat), t, 1)
-    k2 = _checked(f(u_hat + 0.5 * dt * k1), t, 2)
-    k3 = _checked(f(u_hat + 0.5 * dt * k2), t, 3)
-    k4 = _checked(f(u_hat + dt * k3), t, 4)
+    k1 = check(f(u_hat) if k1 is None else k1, t, 1)
+    k2 = check(f(u_hat + 0.5 * dt * k1), t, 2)
+    k3 = check(f(u_hat + 0.5 * dt * k2), t, 3)
+    k4 = check(f(u_hat + dt * k3), t, 4)
     return _checked_update(u_hat + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), t)
 
 
-def ifrk4_step(plan: StepPlan, u_hat: np.ndarray, t: float) -> np.ndarray:
+def ifrk4_step(plan: StepPlan, u_hat: np.ndarray, t: float, k1: np.ndarray | None = None,
+               check=_checked) -> np.ndarray:
     """One integrating-factor RK4 step (Kassam & Trefethen 2005) of
     u_hat_t = Lin u_hat + plan.rhs(u_hat), Lin exact through the plan's
-    factors."""
+    factors; ``k1`` and ``check`` as for ``rk4_step``."""
     f, dt, e_half, e_full = plan.rhs, plan.dt, plan.e_half, plan.e_full
-    k1 = _checked(f(u_hat), t, 1)
-    k2 = _checked(f(e_half * (u_hat + 0.5 * dt * k1)), t, 2)
-    k3 = _checked(f(e_half * u_hat + 0.5 * dt * k2), t, 3)
-    k4 = _checked(f(e_full * u_hat + dt * e_half * k3), t, 4)
+    k1 = check(f(u_hat) if k1 is None else k1, t, 1)
+    k2 = check(f(e_half * (u_hat + 0.5 * dt * k1)), t, 2)
+    k3 = check(f(e_half * u_hat + 0.5 * dt * k2), t, 3)
+    k4 = check(f(e_full * u_hat + dt * e_half * k3), t, 4)
     new = e_full * u_hat + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
     return _checked_update(new, t)
 
@@ -268,10 +297,12 @@ def auto_dt(
 
 def _slope_stats(grid: Grid, u_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """min u_x and where it sits, along the last axis of half spectra (one
-    (N/2+1,) or a batch (M, N/2+1)): the per-step breaking check."""
+    (N/2+1,) or a batch (M, N/2+1)).  A stepped state's min u_x comes from
+    its next step's stage 1 (``SpectralRHS.with_slope``) bit for bit; this
+    transform serves the start and final states and the location."""
     ux = half_values_of(grid._ik[: grid.n_points // 2 + 1] * u_hat, grid.n_points)
-    i = ux.argmin(axis=-1)
-    return np.take_along_axis(ux, i[..., None], axis=-1)[..., 0], grid.x[i]
+    least, i = first_min(ux)
+    return least, grid.x[i]
 
 
 def _tail_fraction(grid: Grid, u_hat: np.ndarray) -> float:
@@ -411,11 +442,16 @@ def integrate_batch(u0s, model: ModelParams, config: SolverConfig, sink=None,
     stored spectrum steps like a fresh field.
 
     Every step goes through one ``StepPlan``; grid values are synthesized
-    only for the sink, a breaking report and the returned states.  A step
-    that raises ``BlowUpError`` is taken again row by row, which freezes
-    each failing row with its own t and stage while the others go on; a
-    row whose slope crosses the threshold goes through ``detect_breaking``
-    alone until it reports, and halts alone.
+    only for the sink, a breaking report and the returned states.  Each
+    step evaluates its stage 1 first, which also gives the state's min
+    slope; the state's slope history, breaking check and snapshot then
+    come before the rest of the step, so a state is reported before any
+    blow-up of its step (only the final state, which no step follows,
+    transforms for its slope).  A step that raises ``BlowUpError`` is taken
+    again row by row, which freezes each failing row with its own t and
+    stage while the others go on; a row whose slope crosses the threshold
+    goes through ``detect_breaking`` alone until it reports, and halts
+    alone.
     """
     _require_fkdv_for_if(model, config.integrator)
     if starts is None:
@@ -470,28 +506,12 @@ def integrate_batch(u0s, model: ModelParams, config: SolverConfig, sink=None,
         if len(lines) < len(live):
             u_hat, live = u_hat[lines], [live[k] for k in lines]
 
-    for i in range(n_steps):
-        try:
-            # a lone row steps without the batch axis: the same numbers at
-            # less per-call cost
-            new_hat = plan.step(u_hat[0], t)[None] if len(live) == 1 else plan.step(u_hat, t)
-        except BlowUpError:
-            stepped = []
-            for k, row in enumerate(live):
-                try:
-                    stepped.append((k, plan.step(u_hat[k], t)))
-                except BlowUpError as err:
-                    results[row] = SimulationResult(
-                        state=current(k), outcome=Outcome.BLOWUP, dt=dt,
-                        breaking=breaking[row], blowup_time=err.t, blowup_stage=err.stage,
-                    )
-            keep([k for k, _ in stepped])
-            if not live:
-                break
-            new_hat = np.stack([h for _, h in stepped])
-        u_hat, t, done = new_hat, t + dt, done + 1
+    def settle(slopes, due: bool) -> list:
+        """Slope history, breaking check and snapshot of the state after
+        ``done`` steps, given each live row's min slope; returns the lines
+        that go on."""
         halted = {}  # line -> its BREAKING result
-        for k, (row, slope) in enumerate(zip(live, _slope_stats(grid, u_hat)[0].tolist())):
+        for k, (row, slope) in enumerate(zip(live, slopes)):
             histories[row].append((t, slope))
             if slope <= -config.breaking_slope_threshold and breaking[row] is None:
                 state = current(k)
@@ -503,16 +523,53 @@ def integrate_batch(u0s, model: ModelParams, config: SolverConfig, sink=None,
                             state=state, outcome=Outcome.BREAKING, dt=dt, breaking=report
                         )
         # a halting row gets its last snapshot whether or not one is due
-        due = (stride is not None and (step0 + i + 1) % stride == 0) or i == n_steps - 1
         if sink is not None and (due or halted):
             lines = np.arange(len(live)) if due else np.fromiter(halted, int)
             sink(t, np.asarray(live)[lines], half_values_of(u_hat[lines], n))
-        if halted:
-            for k, result in halted.items():
-                results[live[k]] = result
-            keep([k for k in range(len(live)) if k not in halted])
+        for k, result in halted.items():
+            results[live[k]] = result
+        return [k for k in range(len(live)) if k not in halted]
+
+    for i in range(n_steps):
+        # stage 1 also gives the state's min slope: the state is settled
+        # before its step is checked, so its report, halt and snapshot come
+        # before any blow-up of that step.  A lone row steps without the
+        # batch axis: the same numbers at less per-call cost.
+        if len(live) == 1:
+            k1, slope = plan.rhs.with_slope(u_hat[0])
+            k1, slopes = k1[None], [slope.tolist()]
+        else:
+            k1, slopes = plan.rhs.with_slope(u_hat)
+            slopes = slopes.tolist()
+        if i:
+            lines = settle(slopes, stride is not None and (step0 + i) % stride == 0)
+            if len(lines) < len(live):
+                keep(lines)
+                if not live:
+                    break
+                k1 = k1[lines]
+        try:
+            if len(live) == 1:
+                new_hat = plan.step(u_hat[0], t, k1[0])[None]
+            else:
+                new_hat = plan.step(u_hat, t, k1)
+        except BlowUpError:
+            stepped = []
+            for k, row in enumerate(live):
+                try:
+                    stepped.append((k, plan.step(u_hat[k], t, k1[k])))
+                except BlowUpError as err:
+                    results[row] = SimulationResult(
+                        state=current(k), outcome=Outcome.BLOWUP, dt=dt,
+                        breaking=breaking[row], blowup_time=err.t, blowup_stage=err.stage,
+                    )
+            keep([k for k, _ in stepped])
             if not live:
                 break
+            new_hat = np.stack([h for _, h in stepped])
+        u_hat, t, done = new_hat, t + dt, done + 1
+    if live and n_steps:  # the final state: no stage 1 follows it
+        keep(settle(_slope_stats(grid, u_hat)[0].tolist(), True))
     for k, row in enumerate(live):
         results[row] = SimulationResult(
             state=current(k), outcome=Outcome.COMPLETED, dt=dt, breaking=breaking[row]
@@ -554,27 +611,6 @@ def checkpoint_write(state: SimulationState, path) -> None:
     payload += _spectrum_of(state).astype("<c16").tobytes()
     payload += struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
     write_atomic(path, payload)
-
-
-@contextmanager
-def open_atomic(path, mode: str = "wb"):
-    """Open a temporary file beside ``path`` for writing, and rename it over
-    ``path`` when the block ends: a reader sees the old file or the new one,
-    never a part, and a failed write leaves the old file as it was."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, mode) as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to ``path`` through ``open_atomic``."""
-    with open_atomic(path) as fh:
-        fh.write(data)
 
 
 def checkpoint_read(path) -> SimulationState:

@@ -1,8 +1,8 @@
 """Independent dense-matrix oracles for the operator tests.
 
 Each multiplier operator is assembled as an explicit N x N matrix by
-composing a direct-summation DFT (the package's dft_oracle applied to
-basis vectors), a diagonal symbol, and a direct-summation inverse DFT.
+composing a direct-summation DFT (``dft_oracle`` applied to basis
+vectors), a diagonal symbol, and a direct-summation inverse DFT.
 The quasi-linear operators are then built from those blocks plus
 pointwise diagonal factors, mirroring the dealiasing placement of the
 fast implementations but sharing none of their FFT code path.
@@ -14,9 +14,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from fracwave.spectral import Grid, RealField, coeffs_of, dft_oracle, values_of
+from fracwave.errors import ParameterError
+from fracwave.spectral import Grid, RealField, SpectralField, coeffs_of, values_of
 
 _MAX_N = 128
+_ORACLE_MAX_N = 1024
+
+
+def dft_oracle(u: RealField) -> SpectralField:
+    """Direct O(N^2) summation DFT with the package normalization, an
+    independent check of the fast transforms; refuses grids larger than
+    1024 points because of the quadratic cost."""
+    n = u.grid.n_points
+    if n > _ORACLE_MAX_N:
+        raise ParameterError(
+            f"dft_oracle is quadratic and limited to N <= {_ORACLE_MAX_N}, got {n}"
+        )
+    j = np.arange(n)
+    # exp(-i k_m x_j) = exp(-2*pi*i*m*j/N) regardless of L
+    kernel = np.exp(-2j * np.pi * np.outer(j, j) / n)
+    return SpectralField(u.grid, kernel @ u.values / n)
 
 
 def _guard(grid: Grid) -> None:

@@ -24,7 +24,6 @@ from fracwave import (
     commutator_estimate_sample,
     continuous_dependence_experiment,
     convergence_study,
-    dft_oracle,
     fbbm_energy,
     forward_transform,
     fractional_laplacian,
@@ -41,6 +40,7 @@ from fracwave import (
 from fracwave.cli import main
 from conftest import TWO_PI, make_grid, smooth_field
 import oracles
+from oracles import dft_oracle
 
 
 def _report(num, text):

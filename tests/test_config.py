@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracwave import ConfigError, Integrator, ModelKind, RealField, timestepper
+from fracwave import ConfigError, Integrator, ModelKind, RealField, atomic
 from fracwave.config import (
     apply_overrides,
     build_initial,
@@ -431,7 +431,7 @@ class TestAtomicWrites:
         write(1)
         before = path.read_bytes()
         monkeypatch.setattr(
-            timestepper, "open", lambda p, mode: _HalfWriter(builtins.open(p, mode), good),
+            atomic, "open", lambda p, mode: _HalfWriter(builtins.open(p, mode), good),
             raising=False,
         )
         with pytest.raises(OSError, match="injected"):

@@ -172,6 +172,22 @@ class TestQuasilinearPieces:
         out = apply_B(RealField.zeros(g), w, 1.0)
         assert np.abs(out.values).max() < 1e-11
 
+    @pytest.mark.parametrize("nu", [1.0, 1.5])
+    def test_b_of_zero_is_exactly_zero(self, nu, rng):
+        # the linear parts of Lam A(u) Lam^-1 w and A(u) w are left out of
+        # both, not cancelled in round-off
+        g = make_grid(64)
+        w = smooth_field(g, rng)
+        assert not apply_B(RealField.zeros(g), w, nu).values.any()
+
+    def test_a_without_its_linear_part(self, rng):
+        g = make_grid(64)
+        plan = OperatorPlan(g, 1.5)
+        u_hat, z_hat = (half_coeffs_of(smooth_field(g, rng).values) for _ in range(2))
+        full, part = plan.apply_A(u_hat, z_hat), plan.apply_A(u_hat, z_hat, linear=False)
+        assert np.abs(full - (part + plan._ik * z_hat)).max() < 1e-13 * np.abs(full).max()
+        assert not plan.apply_A(np.zeros_like(u_hat), z_hat, linear=False).any()
+
     def test_b_of_constant(self, rng):
         g = make_grid(64)
         w = smooth_field(g, rng)

@@ -15,7 +15,6 @@ from fracwave import (
     apply_symbol,
     dealias,
     derivative,
-    dft_oracle,
     forward_transform,
     inner_product,
     inverse_transform,
@@ -30,6 +29,7 @@ from fracwave.spectral import (
     values_of,
 )
 from conftest import make_grid, smooth_field
+from oracles import dft_oracle
 
 
 class TestGrid:

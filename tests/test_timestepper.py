@@ -36,7 +36,7 @@ from fracwave import (
     rk4_step,
 )
 from fracwave.operators import laplacian_symbol
-from fracwave.timestepper import _fit_breaking_time, integrate_batch
+from fracwave.timestepper import _fit_breaking_time, _slope_stats, integrate_batch
 from fracwave.spectral import coeffs_of, half_coeffs_of, half_values_of, values_of
 from conftest import TWO_PI, make_grid, smooth_field
 from oracles import masked_product
@@ -229,6 +229,84 @@ class TestStepPlan:
         plan = StepPlan(g, make_params(kind, 1.0), 1e-3, integrator)
         u_hat = half_coeffs_of(smooth_field(g, rng, band=8, amplitude=0.5).values)
         assert np.array_equal(plan.step(u_hat, 0.0), kernel(plan, u_hat, 0.0))
+
+
+class _Recording:
+    """A plan's rhs that keeps a copy of every input it is called on."""
+
+    def __init__(self, rhs):
+        self.rhs, self.inputs = rhs, []
+
+    def __call__(self, u_hat):
+        self.inputs.append(u_hat.copy())
+        return self.rhs(u_hat)
+
+
+class _Poisoned:
+    """A plan's rhs that writes ``value`` at ``index`` of its result when
+    called on one of ``inputs``: a fault of the input, as a real one is, so a
+    step taken again meets it again."""
+
+    def __init__(self, rhs, inputs, index, value):
+        self.rhs, self.inputs, self.index, self.value = rhs, inputs, index, value
+
+    def __call__(self, u_hat):
+        out = self.rhs(u_hat)
+        if any(np.array_equal(u_hat, x) for x in self.inputs):
+            out = out.copy()
+            out[self.index] = self.value
+        return out
+
+
+class TestStageReplay:
+    """A step checks only its update and, on a trip, is taken again with a
+    check after each stage: the error is the one the per-stage checks raise."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("stage", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("rows", [None, 3])
+    @pytest.mark.parametrize("given_k1", [False, True])
+    @pytest.mark.parametrize(
+        "kind,integrator,kernel",
+        [("fch", Integrator.RK4, rk4_step), ("fkdv", Integrator.IFRK4, ifrk4_step)],
+    )
+    def test_error_matches_the_per_stage_checks(self, kind, integrator, kernel, given_k1,
+                                                rows, stage, rng):
+        g = make_grid(32)
+        plan = StepPlan(g, make_params(kind, 1.0), 1.0, integrator)
+        fields = [smooth_field(g, rng, band=4, amplitude=0.05).values for _ in range(rows or 1)]
+        u_hat = half_coeffs_of(np.stack(fields) if rows else fields[0])
+        clean, recording = plan.rhs, _Recording(plan.rhs)
+        plan.rhs = recording
+        kernel(plan, u_hat, 0.5)
+        if stage <= 4:  # a NaN in this stage's result, in the last row
+            plan.rhs = _Poisoned(clean, [recording.inputs[stage - 1]], (..., 7), np.nan)
+        else:  # finite stages whose update overflows
+            plan.rhs = _Poisoned(clean, [recording.inputs[3]], (..., slice(3, 5)), 1.7e308)
+        k1 = plan.rhs(u_hat) if given_k1 else None
+        with pytest.raises(BlowUpError) as per_stage:
+            kernel(plan, u_hat, 0.5, k1)
+        with pytest.raises(BlowUpError) as once:
+            plan.step(u_hat, 0.5, k1)
+        assert per_stage.value.stage == stage
+        assert (once.value.stage, once.value.t, once.value.index) == \
+            (per_stage.value.stage, per_stage.value.t, per_stage.value.index)
+        assert str(once.value) == str(per_stage.value)
+
+    @pytest.mark.parametrize(
+        "kind,integrator,kernel",
+        [("fch", Integrator.RK4, rk4_step), ("fkdv", Integrator.IFRK4, ifrk4_step)],
+    )
+    def test_given_stage_one_is_the_same_step(self, kind, integrator, kernel, rng):
+        g = make_grid(64)
+        plan = StepPlan(g, make_params(kind, 1.0), 1e-3, integrator)
+        u_hat = half_coeffs_of(np.stack(
+            [smooth_field(g, rng, band=8, amplitude=0.5).values for _ in range(3)]))
+        k1, slopes = plan.rhs.with_slope(u_hat)
+        assert np.array_equal(plan.step(u_hat, 0.0, k1), kernel(plan, u_hat, 0.0))
+        assert np.array_equal(k1, plan.rhs(u_hat))
+        assert slopes.tobytes() == _slope_stats(g, u_hat)[0].tobytes()
+        assert all(plan.rhs.with_slope(row)[1] == slope for row, slope in zip(u_hat, slopes))
 
 
 class TestAutoDt:
@@ -481,6 +559,62 @@ class TestIntegrate:
         res = integrate(u0, make_params("fch", 1.0), SolverConfig(t_end=1.0, dt=0.01))
         ts = [t for t, _ in res.state.min_slope_history]
         assert all(a < b for a, b in zip(ts, ts[1:]))
+
+
+def _hand_loop(u0, p, cfg):
+    """(outcome, slope history, breaking report) of ``integrate(u0, p, cfg)``
+    taken by hand: ``StepPlan.step`` and a slope transform after each step."""
+    g = u0.grid
+    u_hat = half_coeffs_of(u0.values)
+    if cfg.dealias:
+        u_hat = g.dealias_keep[: g.n_points // 2 + 1] * u_hat
+    plan = StepPlan(g, p, cfg.dt, cfg.integrator, cfg.dealias)
+    t, report = 0.0, None
+    history = [(t, float(_slope_stats(g, u_hat)[0]))]
+    for _ in range(int(np.ceil(cfg.t_end / cfg.dt - 1e-9))):
+        try:
+            u_hat = plan.step(u_hat, t)
+        except BlowUpError:
+            return Outcome.BLOWUP, history, report
+        t += cfg.dt
+        slope = float(_slope_stats(g, u_hat)[0])
+        history.append((t, slope))
+        if slope <= -cfg.breaking_slope_threshold and report is None:
+            state = SimulationState(t=t, u=RealField(g, half_values_of(u_hat, g.n_points)),
+                                    min_slope_history=history, u_hat=u_hat)
+            report = detect_breaking(state, cfg)
+            if report is not None and cfg.on_breaking == "halt":
+                return Outcome.BREAKING, history, report
+    return Outcome.COMPLETED, history, report
+
+
+class TestSlopeFromStageOne:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["fch", "fbbm", "fkdv", "linearized"]),
+        amplitude=st.one_of(st.floats(0.0, 3.0), st.floats(1e150, 1e200)),
+        phase=st.floats(0.0, 6.0),
+        dealias=st.booleans(),
+        threshold=st.floats(0.5, 20.0),
+        on_breaking=st.sampled_from(["halt", "warn"]),
+    )
+    def test_integrate_matches_a_hand_loop(self, kind, amplitude, phase, dealias, threshold,
+                                           on_breaking):
+        g = make_grid(64)
+        u0 = RealField(g, amplitude * np.sin(g.x + phase) + 0.05 * np.sin(12 * g.x))
+        integrator = Integrator.IFRK4 if kind == "fkdv" else Integrator.RK4
+        cfg = SolverConfig(t_end=0.2, dt=0.01, integrator=integrator, dealias=dealias,
+                           breaking_slope_threshold=threshold, tail_fraction_threshold=1e-6,
+                           on_breaking=on_breaking)
+        res = integrate(u0, make_params(kind, 1.0), cfg)
+        outcome, history, report = _hand_loop(u0, make_params(kind, 1.0), cfg)
+        assert res.outcome is outcome
+        assert res.state.min_slope_history == history
+        assert np.array(res.state.min_slope_history).tobytes() == np.array(history).tobytes()
+        # repr: an overflowing tail fraction reads NaN on both sides
+        assert repr(res.breaking and res.breaking.to_dict()) == \
+            repr(report and report.to_dict())
 
 
 def _batch_rows(amplitudes, phases, blow_at, break_at, blow_exponent, break_amplitude):
