@@ -14,8 +14,8 @@ one result per row, equal bit for bit to that row's own run;
 ``integrate`` (which also resumes from a checkpoint) is its one-row call.
 
 A step pays for no check beyond its update's: a non-finite stage always
-reaches the update, and a step that trips is taken again with a check
-after each stage, so the error still names the stage.  The per-step
+reaches the update, and only when that trips are the stages scanned, in
+order, so the error still names the first non-finite stage.  The per-step
 breaking slope, min u_x, is read off the next step's stage 1, whose
 inverse transform already holds u_x.
 
@@ -152,10 +152,6 @@ class SimulationResult:
 
 # -- the step plan ---------------------------------------------------------
 
-def _unchecked(arr: np.ndarray, t: float, stage: int) -> np.ndarray:
-    return arr
-
-
 def _checked(arr: np.ndarray, t: float, stage: int) -> np.ndarray:
     # one reduction per stage; the indexed scan runs only when it trips
     # (a finite array whose sum or its modulus overflows passes the scan)
@@ -171,14 +167,20 @@ def _checked(arr: np.ndarray, t: float, stage: int) -> np.ndarray:
     return arr
 
 
-def _checked_update(u_hat: np.ndarray, t: float) -> np.ndarray:
+def _checked_update(u_hat: np.ndarray, t: float, stages) -> np.ndarray:
     # 2 sum |u_hat_k| bounds every grid value of a half spectrum; requiring
     # twice that to be finite leaves the inverse transform's partial sums
     # headroom, so the values later built from u_hat are finite too
     # (row by row for a batch: its largest row sum trips exactly when some
-    # row's own check would)
+    # row's own check would).  Only the update is checked: every stage
+    # enters it with a finite nonzero weight, and a NaN or infinity never
+    # cancels to a finite number, so a non-finite stage always trips here;
+    # the stages are then scanned in order, and the first non-finite one
+    # names the error, as a check after each stage would have.
     sums = np.abs(u_hat).sum(axis=-1)
     if not math.isfinite(4.0 * (sums if u_hat.ndim == 1 else sums.max())):
+        for stage, k in enumerate(stages, 1):
+            _checked(k, t, stage)
         finite = np.isfinite(u_hat)
         raise BlowUpError(
             f"non-finite or overflowing update at t={t:.6g}",
@@ -229,44 +231,35 @@ class StepPlan:
     def step(self, u_hat: np.ndarray, t: float, k1: np.ndarray | None = None) -> np.ndarray:
         """u_hat one step of dt later; ``k1``, when given, is its stage 1,
         ``rhs(u_hat)``.  Raises ``BlowUpError`` carrying t and the stage
-        (1-4, or 5 for the update) at the first non-finite value.
-
-        Only the update is checked.  Every stage enters it with a finite
-        nonzero weight, and a NaN or infinity never cancels to a finite
-        number, so a non-finite stage always trips that check; the step is
-        then taken again with a check after each stage, to name the stage.
-        """
-        try:
-            return self._step(self, u_hat, t, k1, _unchecked)
-        except BlowUpError:
-            return self._step(self, u_hat, t, k1, _checked)
+        (1-4, or 5 for the update) at the first non-finite value."""
+        return self._step(self, u_hat, t, k1)
 
 
-def rk4_step(plan: StepPlan, u_hat: np.ndarray, t: float, k1: np.ndarray | None = None,
-             check=_checked) -> np.ndarray:
-    """One classical Runge-Kutta step of u_hat_t = plan.rhs(u_hat), each
-    stage passed through ``check(k, t, stage)``; ``k1`` is stage 1 when
-    already evaluated."""
+def rk4_step(plan: StepPlan, u_hat: np.ndarray, t: float,
+             k1: np.ndarray | None = None) -> np.ndarray:
+    """One classical Runge-Kutta step of u_hat_t = plan.rhs(u_hat); ``k1``
+    is stage 1 when already evaluated."""
     f, dt = plan.rhs, plan.dt
-    k1 = check(f(u_hat) if k1 is None else k1, t, 1)
-    k2 = check(f(u_hat + 0.5 * dt * k1), t, 2)
-    k3 = check(f(u_hat + 0.5 * dt * k2), t, 3)
-    k4 = check(f(u_hat + dt * k3), t, 4)
-    return _checked_update(u_hat + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), t)
+    k1 = f(u_hat) if k1 is None else k1
+    k2 = f(u_hat + 0.5 * dt * k1)
+    k3 = f(u_hat + 0.5 * dt * k2)
+    k4 = f(u_hat + dt * k3)
+    new = u_hat + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return _checked_update(new, t, (k1, k2, k3, k4))
 
 
-def ifrk4_step(plan: StepPlan, u_hat: np.ndarray, t: float, k1: np.ndarray | None = None,
-               check=_checked) -> np.ndarray:
+def ifrk4_step(plan: StepPlan, u_hat: np.ndarray, t: float,
+               k1: np.ndarray | None = None) -> np.ndarray:
     """One integrating-factor RK4 step (Kassam & Trefethen 2005) of
     u_hat_t = Lin u_hat + plan.rhs(u_hat), Lin exact through the plan's
-    factors; ``k1`` and ``check`` as for ``rk4_step``."""
+    factors; ``k1`` as for ``rk4_step``."""
     f, dt, e_half, e_full = plan.rhs, plan.dt, plan.e_half, plan.e_full
-    k1 = check(f(u_hat) if k1 is None else k1, t, 1)
-    k2 = check(f(e_half * (u_hat + 0.5 * dt * k1)), t, 2)
-    k3 = check(f(e_half * u_hat + 0.5 * dt * k2), t, 3)
-    k4 = check(f(e_full * u_hat + dt * e_half * k3), t, 4)
+    k1 = f(u_hat) if k1 is None else k1
+    k2 = f(e_half * (u_hat + 0.5 * dt * k1))
+    k3 = f(e_half * u_hat + 0.5 * dt * k2)
+    k4 = f(e_full * u_hat + dt * e_half * k3)
     new = e_full * u_hat + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-    return _checked_update(new, t)
+    return _checked_update(new, t, (k1, k2, k3, k4))
 
 
 def auto_dt(

@@ -36,7 +36,7 @@ from fracwave import (
     rk4_step,
 )
 from fracwave.operators import laplacian_symbol
-from fracwave.timestepper import _fit_breaking_time, _slope_stats, integrate_batch
+from fracwave.timestepper import _checked, _fit_breaking_time, _slope_stats, integrate_batch
 from fracwave.spectral import coeffs_of, half_coeffs_of, half_values_of, values_of
 from conftest import TWO_PI, make_grid, smooth_field
 from oracles import masked_product
@@ -244,8 +244,8 @@ class _Recording:
 
 class _Poisoned:
     """A plan's rhs that writes ``value`` at ``index`` of its result when
-    called on one of ``inputs``: a fault of the input, as a real one is, so a
-    step taken again meets it again."""
+    called on one of ``inputs``: a fault of the input, as a real one is, so
+    every evaluation of the same step meets it."""
 
     def __init__(self, rhs, inputs, index, value):
         self.rhs, self.inputs, self.index, self.value = rhs, inputs, index, value
@@ -258,9 +258,35 @@ class _Poisoned:
         return out
 
 
-class TestStageReplay:
-    """A step checks only its update and, on a trip, is taken again with a
-    check after each stage: the error is the one the per-stage checks raise."""
+class _StageChecked:
+    """A plan's rhs whose s-th result passes ``_checked`` as stage s: with it
+    a kernel checks each stage as it is computed."""
+
+    def __init__(self, rhs, t, first):
+        self.rhs, self.t, self.stage = rhs, t, first
+
+    def __call__(self, u_hat):
+        out = _checked(self.rhs(u_hat), self.t, self.stage)
+        self.stage += 1
+        return out
+
+
+def _per_stage_step(plan, kernel, u_hat, t, k1=None):
+    """``kernel``'s step with a check after each stage, the reference that
+    the one check per step must match."""
+    rhs = plan.rhs
+    if k1 is not None:
+        _checked(k1, t, 1)
+    plan.rhs = _StageChecked(rhs, t, 1 if k1 is None else 2)
+    try:
+        return kernel(plan, u_hat, t, k1)
+    finally:
+        plan.rhs = rhs
+
+
+class TestStageScan:
+    """A step checks only its update and, on a trip, scans its stages in
+    order: the error is the one a check after each stage raises."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("stage", [1, 2, 3, 4, 5])
@@ -285,7 +311,7 @@ class TestStageReplay:
             plan.rhs = _Poisoned(clean, [recording.inputs[3]], (..., slice(3, 5)), 1.7e308)
         k1 = plan.rhs(u_hat) if given_k1 else None
         with pytest.raises(BlowUpError) as per_stage:
-            kernel(plan, u_hat, 0.5, k1)
+            _per_stage_step(plan, kernel, u_hat, 0.5, k1)
         with pytest.raises(BlowUpError) as once:
             plan.step(u_hat, 0.5, k1)
         assert per_stage.value.stage == stage
