@@ -92,7 +92,7 @@ class _SnapshotWriter:
     def __call__(self, t, u):
         from .config import write_snapshot
         from .models import fbbm_energy, mass, momentum
-        from .spectral import coeffs_of
+        from .spectral import half_coeffs_of
 
         name = f"snap_{len(self.entries):06d}.csv"
         path = os.path.join(self.directory, name)
@@ -103,7 +103,7 @@ class _SnapshotWriter:
         self.entries.append({"t": t, "file": name})
         self.times.append(t)
         if self._mode is not None:
-            self.coeffs.append(coeffs_of(u.values)[self._mode])
+            self.coeffs.append(half_coeffs_of(u.values)[self._mode])
         self.mass.append(_finite(mass(u)))
         self.momentum.append(_finite(momentum(u)))
         self.energy.append(_finite(fbbm_energy(u, self._model)))

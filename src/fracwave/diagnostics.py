@@ -37,7 +37,6 @@ from .operators import OperatorPlan, as_order
 from .spectral import (
     Grid,
     RealField,
-    coeffs_of,
     fit_phase_speed,
     half_coeffs_of,
     half_values_of,
@@ -540,6 +539,6 @@ def convergence_study(
 
 def measure_phase_speed(times, fields, mode: int) -> float:
     """Phase speed of one Fourier mode from a snapshot series of fields;
-    see ``fit_phase_speed``."""
-    coeffs = [coeffs_of(f.values)[mode] for f in fields]
-    return fit_phase_speed(times, coeffs, fields[0].grid if fields else None, mode)
+    see ``fit_phase_speed``.  Modes -m and m travel together."""
+    coeffs = [half_coeffs_of(f.values)[abs(mode)] for f in fields]
+    return fit_phase_speed(times, coeffs, fields[0].grid if fields else None, abs(mode))

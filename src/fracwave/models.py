@@ -32,10 +32,11 @@ from .operators import FractionalOrder, _on_fields, laplacian_symbol
 from .spectral import (
     Grid,
     RealField,
-    coeffs_of,
     first_min,
     half_coeffs_of,
     half_values_of,
+    sobolev_norms,
+    sobolev_weight,
 )
 
 
@@ -240,17 +241,18 @@ def dispersion_speed(k, p: ModelParams):
 
 def mass(u: RealField) -> float:
     """integral of u over the box: L * u_hat_0.  Conserved by the fCH flow."""
-    return float(u.grid.length * coeffs_of(u.values)[0].real)
+    return float(u.grid.length * half_coeffs_of(u.values)[0].real)
 
 
 def momentum(u: RealField) -> float:
     """(1/2) integral of u^2: (L/2) sum_k |u_hat_k|^2.  Conserved by fKdV."""
-    coeffs = coeffs_of(u.values)
-    return float(0.5 * u.grid.length * np.sum(np.abs(coeffs) ** 2))
+    norm = sobolev_norms(u.grid, half_coeffs_of(u.values), sobolev_weight(u.grid, 0.0))
+    return float(0.5 * norm * norm)  # inf past the float range, where float ** 2 raises
 
 
 def fbbm_energy(u: RealField, p: ModelParams) -> float:
     """(L/2) sum_k (1 + c_evo |k|^(2 nu)) |u_hat_k|^2.  Conserved by fBBM."""
-    coeffs = coeffs_of(u.values)
-    weight = 1.0 + p.coefficients.c_evo * laplacian_symbol(u.grid, p.nu.value)
-    return float(0.5 * u.grid.length * np.sum(weight * np.abs(coeffs) ** 2))
+    weight = sobolev_weight(u.grid, 0.0)
+    weight *= 1.0 + p.coefficients.c_evo * laplacian_symbol(u.grid, p.nu.value)[: len(weight)]
+    norm = sobolev_norms(u.grid, half_coeffs_of(u.values), weight)
+    return float(0.5 * norm * norm)

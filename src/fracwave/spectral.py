@@ -257,7 +257,8 @@ def dealias(field: SpectralField) -> SpectralField:
 def derivative(u: RealField) -> RealField:
     """Spectral d/dx.  The Nyquist mode is zeroed, which keeps odd
     derivatives of real data real."""
-    return RealField(u.grid, values_of(u.grid._ik * coeffs_of(u.values)))
+    n = u.grid.n_points
+    return RealField(u.grid, half_values_of(u.grid._ik[: n // 2 + 1] * half_coeffs_of(u.values), n))
 
 
 def sobolev_weight(grid: Grid, s: float) -> np.ndarray:

@@ -51,6 +51,7 @@ from .spectral import (
     first_min,
     half_coeffs_of,
     half_values_of,
+    sobolev_norms,
     sobolev_weight,
 )
 
@@ -299,13 +300,10 @@ def _slope_stats(grid: Grid, u_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _tail_fraction(grid: Grid, u_hat: np.ndarray) -> float:
-    energy = sobolev_weight(grid, 0.0) * np.abs(u_hat) ** 2  # interior modes count twice
-    total = float(energy.sum())
-    if total == 0.0:
-        return 0.0
-    band_max = grid.n_points // 3  # retained band under the 2/3 rule
-    tail = np.abs(grid.modes[: len(energy)]) > band_max / 2  # its top octave and beyond
-    return float(energy[tail].sum()) / total
+    weight = sobolev_weight(grid, 0.0)
+    tail = np.abs(grid.modes[: len(weight)]) > grid.n_points // 3 / 2  # past half the kept band
+    tail_norm, norm = sobolev_norms(grid, u_hat, np.stack([weight * tail, weight]))
+    return float((tail_norm / norm) ** 2) if norm else 0.0
 
 
 def _fit_breaking_time(history, threshold: float) -> float | None:
@@ -385,9 +383,9 @@ def _start_spectrum(grid: Grid, values: np.ndarray, dealias: bool) -> np.ndarray
 
 
 def _snapshot_stride(config: SolverConfig, dt: float) -> int | None:
-    if config.snapshot_every is not None and dt > 0:
-        return max(1, int(round(config.snapshot_every / dt)))
-    return None
+    # a cadence too long to count in steps leaves the first and last states only
+    ratio = config.snapshot_every / dt if config.snapshot_every is not None and dt > 0 else math.inf
+    return max(1, int(round(ratio))) if math.isfinite(ratio) else None
 
 
 def integrate(

@@ -37,8 +37,7 @@ def base_config(out_dir, **overrides):
 
 
 def load_manifest(out_dir):
-    with open(os.path.join(str(out_dir), "manifest.json")) as fh:
-        return json.load(fh)
+    return load_strict_json(Path(out_dir) / "manifest.json")
 
 
 def load_strict_json(path):
@@ -238,6 +237,29 @@ class TestRun:
         assert rep["min_slope"] <= -100.0
         assert rep["tail_fraction"] > 1e-4
         assert manifest["t_final"] < 5.0
+
+    def test_uncountable_snapshot_cadence_takes_the_ends(self, tmp_path, capsys):
+        # snapshot_every / dt overflows to infinity: no stride, first and last only
+        out = tmp_path / "out"
+        cfg = base_config(out, grid={"N": 32},
+                          initial={"kind": "mode", "k": 1, "amplitude": 0.5},
+                          solver={"t_end": 1e-9, "dt": 1e-10, "snapshot_every": 1e300})
+        assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        manifest = load_strict_json(out / "manifest.json")
+        assert manifest["outcome"] == "completed"
+        assert [e["t"] for e in manifest["snapshots"]] == [0.0, manifest["t_final"]]
+
+    def test_overflowing_tail_energy_is_not_breaking(self, tmp_path):
+        # |u_hat|^2 overflows at this amplitude; the tail fraction stays finite
+        out = tmp_path / "out"
+        cfg = base_config(out, model={"kind": "linearized", "nu": 1.0},
+                          initial={"kind": "mode", "k": 2, "amplitude": 1e170},
+                          solver={"t_end": 0.05, "dt": 0.01, "dealias": False})
+        assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        manifest = load_strict_json(out / "manifest.json")
+        assert manifest["outcome"] == "completed"
+        assert manifest["breaking"] is None
 
     def test_overflowing_conserved_values_are_null(self, tmp_path):
         out = tmp_path / "out"

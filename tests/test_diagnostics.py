@@ -547,6 +547,7 @@ class TestMeasurePhaseSpeed:
         times = np.linspace(0.0, 2.0, 11)
         fields = [RealField(g, np.sin(g.x - c * t)) for t in times]
         assert measure_phase_speed(times, fields, 1) == pytest.approx(c, abs=1e-12)
+        assert measure_phase_speed(times, fields, -1) == pytest.approx(c, abs=1e-12)
 
     def test_needs_populated_mode(self):
         g = make_grid(64)

@@ -21,9 +21,10 @@ from fracwave import (
     sobolev_norm,
 )
 from fracwave.operators import lambda_symbol, laplacian_symbol
-from fracwave.spectral import coeffs_of, values_of
+from fracwave.spectral import coeffs_of, half_coeffs_of, values_of
+from fracwave.timestepper import _tail_fraction
 from conftest import make_grid, smooth_field
-from oracles import masked_product
+from oracles import dft_oracle, masked_product
 
 
 class TestModelParams:
@@ -218,6 +219,24 @@ class TestConservedFunctionals:
     def test_fbbm_energy_zero(self):
         g = make_grid(16)
         assert fbbm_energy(RealField.zeros(g), make_params("fbbm", 1.0)) == 0.0
+
+    def test_end_coefficients_count_once(self, rng):
+        # the mean and Nyquist coefficients have no conjugate partner on the
+        # half spectrum; sums over the oracle's full spectrum count each once
+        g = make_grid(64)
+        n = g.n_points
+        u = RealField(g, 0.3 + 0.2 * np.cos(n // 2 * g.x) + smooth_field(g, rng).values)
+        c = dft_oracle(u).coefficients
+        assert abs(c[0]) > 0.1 and abs(c[n // 2]) > 0.1
+        sq = np.abs(c) ** 2
+        assert momentum(u) == pytest.approx(0.5 * g.length * sq.sum(), rel=1e-13)
+        p = make_params("fbbm", 1.5)
+        weight = 1.0 + 1.25 * np.abs(g.k) ** 3.0
+        assert fbbm_energy(u, p) == pytest.approx(0.5 * g.length * (weight * sq).sum(), rel=1e-13)
+        tail = np.abs(g.modes) > n // 3 / 2
+        assert sq[tail].sum() > 0.0
+        assert _tail_fraction(g, half_coeffs_of(u.values)) == pytest.approx(
+            sq[tail].sum() / sq.sum(), rel=1e-13)
 
     def test_fbbm_energy_matches_quadrature(self, rng):
         # independent route: (1/2) integral of u^2 + c_evo (L^(nu/2) u)^2

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracwave import (
@@ -36,7 +36,13 @@ from fracwave import (
     rk4_step,
 )
 from fracwave.operators import laplacian_symbol
-from fracwave.timestepper import _checked, _fit_breaking_time, _slope_stats, integrate_batch
+from fracwave.timestepper import (
+    _checked,
+    _fit_breaking_time,
+    _slope_stats,
+    _tail_fraction,
+    integrate_batch,
+)
 from fracwave.spectral import coeffs_of, half_coeffs_of, half_values_of, values_of
 from conftest import TWO_PI, make_grid, smooth_field
 from oracles import masked_product
@@ -399,6 +405,23 @@ class TestBreakingDetector:
         assert report.min_slope <= -100.0
         assert 0.0 <= report.location < g.length
         assert report.tail_fraction > 1e-4
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.just(0j) | st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3),
+                 min_size=17, max_size=17),
+        st.integers(0, 1000),
+    )
+    def test_tail_fraction_is_scale_free(self, coeffs, e):
+        # rescaling by 2^e changes no ratio, also where |u_hat|^2 overflows
+        g = make_grid(32)
+        u_hat = np.array(coeffs)
+        assume(1e-3 <= np.abs(u_hat).max() <= 1e3)
+        base = _tail_fraction(g, u_hat)
+        with np.errstate(over="ignore", invalid="ignore"):  # the first, overflowing pass
+            scaled = _tail_fraction(g, u_hat * 2.0**e)
+        assert scaled == pytest.approx(base, rel=1e-15)
+        assert 0.0 <= scaled <= 1.0
 
     def test_breaking_time_fit(self):
         # history following min u_x = -1/(T-t) extrapolates to T
