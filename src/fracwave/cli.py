@@ -75,7 +75,8 @@ class _SnapshotWriter:
     """Writes each snapshot and keeps what the manifest needs of it: the
     conserved functionals (None where not finite), Fourier coefficient
     ``mode`` (when given) for the phase-speed fit, and (L, max|u|) of the
-    first snapshot for the mass floor.  No field is held."""
+    first snapshot for the mass floor.  The coefficient and the functionals
+    are read off one transform per snapshot.  No field is held."""
 
     def __init__(self, directory, model, mode=None):
         self.directory = directory
@@ -88,10 +89,11 @@ class _SnapshotWriter:
         self.first_extent = None
         self._model = model
         self._mode = mode
+        self._weights = None  # of the functionals, built on the first snapshot
 
     def __call__(self, t, u):
         from .config import write_snapshot
-        from .models import fbbm_energy, mass, momentum
+        from .models import _conserved, _conserved_weights
         from .spectral import half_coeffs_of
 
         name = f"snap_{len(self.entries):06d}.csv"
@@ -100,13 +102,15 @@ class _SnapshotWriter:
             write_snapshot(path, u)
         if not self.entries:
             self.first_extent = (u.grid.length, float(np.abs(u.values).max()))
+            self._weights = _conserved_weights(u.grid, self._model)
         self.entries.append({"t": t, "file": name})
         self.times.append(t)
+        half = half_coeffs_of(u.values)
         if self._mode is not None:
-            self.coeffs.append(half_coeffs_of(u.values)[self._mode])
-        self.mass.append(_finite(mass(u)))
-        self.momentum.append(_finite(momentum(u)))
-        self.energy.append(_finite(fbbm_energy(u, self._model)))
+            self.coeffs.append(half[self._mode])
+        values = _conserved(u.grid, half, self._weights)
+        for series, value in zip((self.mass, self.momentum, self.energy), values):
+            series.append(_finite(value))
 
 
 # A mass below this fraction of L * max|u0| is round-off (a zero-mean
@@ -515,7 +519,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_heap() -> None:
+    """glibc: keep what a step frees in the heap for the next step instead
+    of unmapping or trimming it and faulting it in again.  The mmap
+    threshold is glibc's own 64-bit cap on its dynamic one, the trim
+    threshold twice that, as its dynamic rule keeps them.  A no-op where
+    the C library has no ``mallopt``."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NamedChoice, ParameterError
-from .operators import FractionalOrder, _on_fields, laplacian_symbol
+from .operators import FractionalOrder, _on_fields, _power_of_k, laplacian_symbol
 from .spectral import (
     Grid,
     RealField,
@@ -235,24 +235,38 @@ def rhs_quasilinear_normalized(u: RealField, nu) -> RealField:
 def dispersion_speed(k, p: ModelParams):
     """Linear phase speed c(k); accepts scalars or arrays."""
     c = p.coefficients
-    big_k = np.abs(k) ** (2.0 * p.nu.value)
+    big_k = _power_of_k(k, p.nu.value)
     return (c.c_adv + c.c_disp * big_k) / (1.0 + c.c_evo * big_k)
+
+
+def _conserved_weights(grid: Grid, p: ModelParams) -> tuple:
+    """Half-spectrum weights of twice the momentum and twice the fBBM energy."""
+    weight = sobolev_weight(grid, 0.0)
+    lap = laplacian_symbol(grid, p.nu.value)[: len(weight)]
+    return weight, weight * (1.0 + p.coefficients.c_evo * lap)
+
+
+def _conserved(grid: Grid, half: np.ndarray, weights=()) -> list:
+    """Mass of the half spectrum ``half``, then (1/2) its squared norm for
+    each of ``weights``: momentum and fBBM energy for ``_conserved_weights``.
+    One norm at a time, so no (2, N/2+1) temporary is held."""
+    values = [grid.length * half[0].real]
+    for weight in weights:
+        norm = sobolev_norms(grid, half, weight)
+        values.append(0.5 * norm * norm)  # inf past the float range, where float ** 2 raises
+    return [float(v) for v in values]
 
 
 def mass(u: RealField) -> float:
     """integral of u over the box: L * u_hat_0.  Conserved by the fCH flow."""
-    return float(u.grid.length * half_coeffs_of(u.values)[0].real)
+    return _conserved(u.grid, half_coeffs_of(u.values))[0]
 
 
 def momentum(u: RealField) -> float:
     """(1/2) integral of u^2: (L/2) sum_k |u_hat_k|^2.  Conserved by fKdV."""
-    norm = sobolev_norms(u.grid, half_coeffs_of(u.values), sobolev_weight(u.grid, 0.0))
-    return float(0.5 * norm * norm)  # inf past the float range, where float ** 2 raises
+    return _conserved(u.grid, half_coeffs_of(u.values), [sobolev_weight(u.grid, 0.0)])[1]
 
 
 def fbbm_energy(u: RealField, p: ModelParams) -> float:
     """(L/2) sum_k (1 + c_evo |k|^(2 nu)) |u_hat_k|^2.  Conserved by fBBM."""
-    weight = sobolev_weight(u.grid, 0.0)
-    weight *= 1.0 + p.coefficients.c_evo * laplacian_symbol(u.grid, p.nu.value)[: len(weight)]
-    norm = sobolev_norms(u.grid, half_coeffs_of(u.values), weight)
-    return float(0.5 * norm * norm)
+    return _conserved(u.grid, half_coeffs_of(u.values), _conserved_weights(u.grid, p)[1:])[1]

@@ -75,9 +75,20 @@ def as_order(nu) -> FractionalOrder:
 # reduce to these.  They act along the last axis, so a (..., N/2+1) half
 # spectrum array is a batch of rows evaluated at once.
 
+def _power_of_k(k, nu: float):
+    """|k|^(2 nu) of a wavenumber or an array of them; a ParameterError
+    naming nu and the largest |k| where it overflows."""
+    sym = np.abs(k) ** (2.0 * nu)
+    if np.isinf(sym).any():
+        raise ParameterError(
+            f"fractional order nu = {nu:g} overflows |k|^(2 nu) at k_max = {np.abs(k).max():g}"
+        )
+    return sym
+
+
 def laplacian_symbol(grid: Grid, nu: float) -> np.ndarray:
-    """|k|^(2 nu), with the k=0 entry exactly 0."""
-    sym = np.abs(grid.k) ** (2.0 * nu)
+    """|k|^(2 nu), with the k=0 entry exactly 0; see ``_power_of_k``."""
+    sym = _power_of_k(grid.k, nu)
     sym[0] = 0.0
     return sym
 

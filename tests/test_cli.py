@@ -1,11 +1,14 @@
 import contextlib
+import ctypes
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +172,17 @@ class TestRun:
                 "--set", "solver.dt=1e-300"]
         assert main(args) == 1
         assert "finite number of steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dt", [0.01, "auto"])
+    def test_overflowing_fractional_order_exit_1(self, tmp_path, capsys, dt):
+        # |k|^(2 nu) at k_max = 8 is past the float range for nu = 180
+        cfg = base_config(tmp_path / "out", grid={"N": 16},
+                          initial={"kind": "mode", "k": 1, "amplitude": 0.2},
+                          solver={"t_end": 0.1, "dt": dt, "snapshot_every": 0.05})
+        cfg_path = write_config(tmp_path / "c.json", cfg)
+        assert main(["run", "--config", cfg_path, "--set", "model.nu=180"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: fractional order nu = 180 overflows |k|^(2 nu) at k_max = 8"]
 
     def test_mass_drift_rel_null_for_zero_mean(self, tmp_path):
         out = tmp_path / "out"
@@ -537,6 +551,18 @@ class TestDiagnoseCommands:
         assert capsys.readouterr().err.startswith("error: non-finite field value")
         assert not report.exists()
 
+    # nu = 1e308 makes m / (2 nu) round to 0, so Lam^m would read 1 where
+    # |k|^(2 nu) is inf and the ratios 0: no report may come out of it
+    @pytest.mark.parametrize("nu", ["200", "1e308"])
+    def test_overflowing_fractional_order_exit_1(self, tmp_path, capsys, nu):
+        report = tmp_path / "r.json"
+        code = main(["diagnose", "commutator", "--samples", "20", "--seed", "3",
+                     "--nu", nu, "--out", str(report)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: fractional order nu = {float(nu):g} overflows |k|^(2 nu) at k_max = 64"]
+        assert not report.exists()
+
     @pytest.mark.parametrize("command,amplitude,degree", [
         (["lipschitz", "--which", "a-lip"], "1e160", 0),
         (["lipschitz", "--which", "b-lip"], "1e160", 0),
@@ -820,3 +846,43 @@ def test_python_m_fracwave_version(tmp_path):
     # the module entry point, run outside the checkout
     done = _fracwave(["--version"], tmp_path)
     assert (done.returncode, done.stdout, done.stderr) == (0, "fracwave 0.1.0\n", "")
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"),
+                    reason="the CLI pins malloc thresholds on glibc only")
+def test_steady_large_grid_steps_take_no_fresh_pages(tmp_path):
+    # without the pinned thresholds glibc unmaps what each N = 65536 step
+    # frees, and every step faults in about 4,350 fresh pages
+    def minor_faults(steps):
+        out = tmp_path / f"out{steps}"
+        cfg = {"model": {"kind": "fch", "nu": 1.5}, "grid": {"N": 65536},
+               "initial": {"kind": "mode", "k": 37, "amplitude": 1e-8},
+               "solver": {"t_end": steps * 5e-5, "dt": 5e-5, "snapshot_every": 1.0},
+               "output": {"directory": str(out)}}
+        argv, env = _fracwave_command(
+            ["run", "--config", write_config(tmp_path / f"c{steps}.json", cfg)])
+        proc = subprocess.Popen(argv, cwd=tmp_path, env=env,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        assert load_manifest(out)["steps"] == steps
+        return usage.ru_minflt
+
+    assert (minor_faults(12) - minor_faults(2)) / 10 < 500
+
+
+def _no_mallopt(name):
+    return types.SimpleNamespace()
+
+
+def _no_libc(name):
+    raise OSError("no C library to open")
+
+
+@pytest.mark.parametrize("cdll", [_no_mallopt, _no_libc])
+def test_run_without_mallopt(tmp_path, monkeypatch, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    cfg_path = write_config(tmp_path / "c.json", base_config(tmp_path / "out"))
+    assert main(["run", "--config", cfg_path]) == 0
+    assert load_manifest(tmp_path / "out")["outcome"] == "completed"
