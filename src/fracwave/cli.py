@@ -145,18 +145,19 @@ def _make_output_dir(path) -> None:
         ) from None
 
 
-def _execute_run(run_cfg, out_dir: str, start_state=None):
-    """Run one trajectory of a ``RunConfig`` for run, resume or a sweep
-    point; returns the exit code and the manifest."""
+def _execute_run(run_cfg, start=None):
+    """Run one trajectory of a ``RunConfig`` into its output directory, from
+    the state ``start`` on a resume; returns the exit code and the manifest."""
     from .config import build_initial
     from .spectral import fit_phase_speed
     from .timestepper import Outcome, checkpoint_write, integrate
 
-    u0 = start_state.u if start_state else build_initial(run_cfg.initial, run_cfg.grid)
+    start = start or build_initial(run_cfg.initial, run_cfg.grid)
+    out_dir = run_cfg.output.directory
     _make_output_dir(out_dir)
     mode = run_cfg.initial.params["k"] if run_cfg.initial.kind == "mode" else None
     sink = _SnapshotWriter(out_dir, run_cfg.model, mode)
-    result = integrate(u0, run_cfg.model, run_cfg.solver, sink=sink, start=start_state)
+    result = integrate(start, run_cfg.model, run_cfg.solver, sink=sink)
     path = os.path.join(out_dir, "checkpoint.fwck")
     with _writing("checkpoint", path):
         checkpoint_write(result.state, path)
@@ -215,7 +216,7 @@ def cmd_run(args) -> int:
     from .config import load_config
 
     run_cfg = load_config(args.config, args.set or (), args.allow_low_nu)
-    return _execute_run(run_cfg, run_cfg.output.directory)[0]
+    return _execute_run(run_cfg)[0]
 
 
 def cmd_resume(args) -> int:
@@ -229,7 +230,7 @@ def cmd_resume(args) -> int:
             f"checkpoint grid (L={state.u.grid.length}, N={state.u.grid.n_points}) "
             f"does not match the config grid"
         )
-    return _execute_run(run_cfg, run_cfg.output.directory, start_state=state)[0]
+    return _execute_run(run_cfg, state)[0]
 
 
 def _numbers(text, command, item, option) -> list:
@@ -277,7 +278,7 @@ def cmd_sweep(args) -> int:
             )
             cfg = validate_config(raw, allow_low_nu=args.allow_low_nu)
             with _quiet_numpy():
-                code, manifest = _execute_run(cfg, point_dir)
+                code, manifest = _execute_run(cfg)
             return {
                 "value": value,
                 "directory": point_dir,

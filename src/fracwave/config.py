@@ -26,6 +26,7 @@ import numpy as np
 from .atomic import open_atomic, write_manifest  # noqa: F401  (a public name here)
 from .errors import BlowUpError, ConfigError, ParameterError
 from .models import Coefficients, ModelKind, ModelParams, default_coefficients, make_params
+from .operators import FractionalOrder
 from .spectral import Grid, RealField
 from .timestepper import AUTO, Integrator, SolverConfig
 
@@ -149,7 +150,7 @@ def validate_config(cfg: dict, allow_low_nu: bool = False) -> RunConfig:
             key="model.nu",
         )
     try:
-        model = make_params(m["kind"], m["nu"], coeffs, strict_nu=not allow_low_nu)
+        model = make_params(m["kind"], FractionalOrder(m["nu"], strict=not allow_low_nu), coeffs)
     except ParameterError as err:
         raise ConfigError(str(err), key="model") from None
 

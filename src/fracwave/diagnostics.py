@@ -37,6 +37,7 @@ from .operators import OperatorPlan, as_order
 from .spectral import (
     Grid,
     RealField,
+    _fit_line,
     fit_phase_speed,
     half_coeffs_of,
     half_values_of,
@@ -351,13 +352,14 @@ def continuous_dependence_experiment(
     config: SolverConfig,
     s: float,
     seed: int = 0,
-    band_limit: int | None = None,
 ) -> list:
     """Growth of perturbations: G = sup_{t<=T} ||u1-u2||_{s-1} at t over t=0,
     one report per entry of the sequence ``deltas``, in order.
 
-    Each pair is (u0, u0 + delta * p) with p a random band-limited field
-    of unit H^{s-1} norm; every delta scales the same seeded directions.
+    Each pair is (u0, u0 + delta * p) with p a random field of unit
+    H^{s-1} norm, band-limited to max(2, N // 6), half the band the 2/3
+    rule keeps, so a dealiased run steps all of the perturbation that d0
+    measures; every delta scales the same seeded directions.
     A chunk of directions, under every delta, goes through
     ``integrate_batch`` behind the base u0 as row 0.  Every step is a
     snapshot, so each one holds the live base and pairs, and the gaps are
@@ -378,12 +380,11 @@ def continuous_dependence_experiment(
     from .timestepper import Outcome, integrate_batch, resolve_dt
 
     grid = u0.grid
-    band = band_limit if band_limit is not None else max(2, grid.n_points // 6)
     # Fix dt once from the unperturbed data so all trajectories share a
     # time grid.
     dt, _ = resolve_dt(u0, model, config, config.t_end)
     run_cfg = replace(config, dt=dt, snapshot_every=dt)
-    fields = _Fields(grid, band)
+    fields = _Fields(grid, max(2, grid.n_points // 6))
     scales = np.asarray(deltas, dtype=float)[:, None]
 
     def draw(rng, rows):
@@ -462,6 +463,11 @@ def _final_field(initial, grid, model, config) -> RealField:
     return result.state.u
 
 
+# the spatial study's grids; the temporal study halves dt this many times
+_SPATIAL_NS = (16, 32, 64, 128)
+_DT_HALVINGS = 3
+
+
 def convergence_study(
     kind,
     model: ModelParams,
@@ -470,17 +476,15 @@ def convergence_study(
     *,
     length: float = 2.0 * np.pi,
     n_points: int = 64,
-    spatial_ns=(16, 32, 64, 128),
-    dt_halvings: int = 3,
-    box_lengths=(2.0 * np.pi, 4.0 * np.pi, 8.0 * np.pi),
 ) -> ConvergenceResult:
     """Self-convergence tables against a refined reference run.
 
     ``initial`` is a builder mapping a Grid to a value array, so the same
     datum can be realized on every resolution (and every box size).
-    SPATIAL doubles N at fixed dt; TEMPORAL halves dt at fixed N and fits
-    the observed order; BOX_SIZE grows L at fixed spacing for localized
-    data, quantifying the periodic-box stand-in for the real line.
+    SPATIAL doubles N from 16 to 128 at fixed dt; TEMPORAL halves dt three
+    times at fixed N and fits the observed order; BOX_SIZE doubles the
+    (length, n_points) box twice at fixed spacing, against 8 times it, for
+    localized data, quantifying the periodic-box stand-in for the real line.
     """
     if isinstance(kind, str):
         kind = StudyKind.from_string(kind)
@@ -489,7 +493,7 @@ def convergence_study(
     # dt is fixed once, from the datum on the SPATIAL reference grid or on
     # the (length, n_points) grid
     base = Grid(length, n_points)
-    datum = Grid(length, 4 * max(spatial_ns)) if kind is StudyKind.SPATIAL else base
+    datum = Grid(length, 4 * max(_SPATIAL_NS)) if kind is StudyKind.SPATIAL else base
     if config.dt == AUTO:
         dt, _ = resolve_dt(RealField(datum, initial(datum)), model, config, config.t_end)
     elif kind is StudyKind.TEMPORAL:
@@ -504,23 +508,19 @@ def convergence_study(
     if kind is StudyKind.SPATIAL:
         # grids nest: coarse points are every stride-th fine point
         cases = [(float(n), Grid(length, n), ref_cfg, slice(None, None, datum.n_points // n))
-                 for n in spatial_ns]
+                 for n in _SPATIAL_NS]
         reference = {"N": datum.n_points, "dt": dt}
     elif kind is StudyKind.TEMPORAL:
         cases = [(dt / 2**i, base, replace(config, dt=dt / 2**i), slice(None))
-                 for i in range(dt_halvings + 1)]
-        ref_cfg = replace(config, dt=dt / 2 ** (dt_halvings + 2))
+                 for i in range(_DT_HALVINGS + 1)]
+        ref_cfg = replace(config, dt=dt / 2 ** (_DT_HALVINGS + 2))
         reference = {"N": n_points, "dt": ref_cfg.dt}
     else:  # BOX_SIZE: fixed spacing, growing box, compared on the middle
-        spacing = length / n_points
-        ref_len = 2.0 * max(box_lengths)
-        ref_grid = Grid(ref_len, int(round(ref_len / spacing)))
-        cases = []
-        for box_l in box_lengths:
-            n = int(round(box_l / spacing))
-            offset = (ref_grid.n_points - n) // 2
-            cases.append((box_l, Grid(box_l, n), ref_cfg, slice(offset, offset + n)))
-        reference = {"L": ref_len, "dt": dt}
+        ref_grid = Grid(8 * length, 8 * n_points)
+        cases = [(scale * length, Grid(scale * length, scale * n_points), ref_cfg,
+                  slice((8 - scale) * n_points // 2, (8 + scale) * n_points // 2))
+                 for scale in (1, 2, 4)]
+        reference = {"L": ref_grid.length, "dt": dt}
 
     ref = _final_field(initial, ref_grid, model, ref_cfg).values
     rows = []
@@ -531,7 +531,7 @@ def convergence_study(
     if kind is StudyKind.TEMPORAL:
         log_dt = np.log([r[0] for r in rows])
         log_err = np.log([max(r[1], 1e-300) for r in rows])
-        order = float(np.polyfit(log_dt, log_err, 1)[0])
+        order = _fit_line(log_dt, log_err)[0]
     return ConvergenceResult(kind, rows, order, reference)
 
 

@@ -94,12 +94,12 @@ class ModelParams:
             raise ParameterError("fBBM admits no c_mix term")
 
 
-def make_params(kind, nu, coefficients=None, strict_nu: bool = True) -> ModelParams:
-    """Convenience constructor taking plain strings/floats."""
+def make_params(kind, nu, coefficients=None) -> ModelParams:
+    """Convenience constructor taking plain strings/floats (a bare nu is strict)."""
     if not isinstance(kind, ModelKind):
         kind = ModelKind.from_string(kind)
     if not isinstance(nu, FractionalOrder):
-        nu = FractionalOrder(float(nu), strict=strict_nu)
+        nu = FractionalOrder(float(nu))
     return ModelParams(kind, nu, coefficients)
 
 

@@ -263,11 +263,16 @@ def derivative(u: RealField) -> RealField:
 
 def sobolev_weight(grid: Grid, s: float) -> np.ndarray:
     """The weight of each half-spectrum coefficient in the squared H^s norm:
-    (1+k^2)^s, twice at interior indices, which stand for a conjugate pair."""
+    (1+k^2)^s, twice at interior indices, which stand for a conjugate pair;
+    a ParameterError naming s and k_max where a weight overflows."""
     if not np.isfinite(s):
         raise ParameterError(f"Sobolev index must be finite, got {s}")
     weight = (1.0 + grid.k[: grid.n_points // 2 + 1] ** 2) ** s
     weight[1:-1] *= 2.0
+    if not np.isfinite(weight).all():
+        raise ParameterError(
+            f"Sobolev index s = {s:g} overflows the weight 2 (1 + k^2)^s at k_max = {grid.k_max:g}"
+        )
     return weight
 
 
@@ -316,5 +321,14 @@ def fit_phase_speed(times, coeffs, grid: Grid, mode: int) -> float:
     if np.abs(coeffs).min() < 1e-300:
         raise ParameterError(f"mode {mode} is not populated; cannot fit its phase")
     phases = np.unwrap(np.angle(coeffs))
-    slope = np.polyfit(np.asarray(times, dtype=float), phases, 1)[0]
-    return float(-slope / grid.k[mode])
+    return float(-_fit_line(times, phases)[0] / grid.k[mode])
+
+
+def _fit_line(x, y) -> tuple[float, float]:
+    """(slope, intercept) of the least-squares line through the points
+    (x, y), from centred sums: no linear-algebra library is loaded."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    x_mean, y_mean = x.mean(), y.mean()
+    dx = x - x_mean
+    slope = float((dx * (y - y_mean)).sum() / (dx * dx).sum())
+    return slope, float(y_mean - slope * x_mean)

@@ -48,6 +48,7 @@ from .models import ModelKind, ModelParams, dispersion_speed, make_rhs
 from .spectral import (
     Grid,
     RealField,
+    _fit_line,
     first_min,
     half_coeffs_of,
     half_values_of,
@@ -264,19 +265,16 @@ def ifrk4_step(plan: StepPlan, u_hat: np.ndarray, t: float,
 
 
 def auto_dt(
-    u: RealField,
-    model: ModelParams,
-    grid: Grid,
-    cfl: float,
-    integrator: Integrator = Integrator.RK4,
+    u: RealField, model: ModelParams, cfl: float, integrator: Integrator = Integrator.RK4
 ) -> float:
-    """CFL-style step size: cfl * dx / v_max.
+    """CFL-style step size: cfl * dx / v_max on the grid of ``u``.
 
     v_max combines the fastest linear phase speed on the grid with the
     amplitude of u (nonlinear advection).  When fKdV is stepped with the
     integrating factor, the exactly-handled linear symbol is excluded and
     only advection remains.
     """
+    grid = u.grid
     if model.kind is ModelKind.FKDV and integrator is Integrator.IFRK4:
         v_lin = abs(model.coefficients.c_adv)
     else:
@@ -312,9 +310,7 @@ def _fit_breaking_time(history, threshold: float) -> float | None:
     if len(pts) < 3:
         return None
     pts = pts[-16:]
-    ts = np.array([p[0] for p in pts])
-    ys = np.array([-1.0 / p[1] for p in pts])
-    slope, intercept = np.polyfit(ts, ys, 1)
+    slope, intercept = _fit_line([p[0] for p in pts], [-1.0 / p[1] for p in pts])
     if slope >= 0:
         return None
     return float(-intercept / slope)
@@ -358,7 +354,7 @@ def resolve_dt(
     if span <= 0:
         return 0.0, 0
     if config.dt == AUTO:
-        estimate = auto_dt(u0, model, u0.grid, config.cfl, config.integrator)
+        estimate = auto_dt(u0, model, config.cfl, config.integrator)
         n = _step_count(span / estimate - 1e-12)
         return span / n, n
     return config.dt, _step_count(span / config.dt - 1e-9)
@@ -388,14 +384,13 @@ def _snapshot_stride(config: SolverConfig, dt: float) -> int | None:
     return max(1, int(round(ratio))) if math.isfinite(ratio) else None
 
 
-def integrate(
-    u0: RealField,
-    model: ModelParams,
-    config: SolverConfig,
-    sink=None,
-    start: SimulationState | None = None,
-) -> SimulationResult:
-    """Advance the initial-value problem to t_end.
+def _as_state(start) -> SimulationState:
+    return start if isinstance(start, SimulationState) else SimulationState(t=0.0, u=start)
+
+
+def integrate(start, model: ModelParams, config: SolverConfig, sink=None) -> SimulationResult:
+    """Advance the initial-value problem to t_end from ``start``: a field,
+    which starts at t = 0, or a ``SimulationState`` (a checkpoint, say).
 
     ``sink(t, field)`` is called at the snapshot cadence (plus the first
     and last states); it never sees a non-finite field.  Returns a result
@@ -403,34 +398,32 @@ def integrate(
     says halt) or BLOWUP (non-finite value appeared; the state in the
     result is the last good one).
 
-    This is the one-row call of ``integrate_batch``.  Pass ``start`` to
-    resume from a checkpointed state; ``u0`` is ignored then.  The start's
+    This is the one-row call of ``integrate_batch``.  A start state's
     stored spectrum is stepped as is, so a resumed trajectory is
-    bit-identical to an uninterrupted one when dt is explicit; a start
-    without one steps like the fresh field ``u0``.
+    bit-identical to an uninterrupted one when dt is explicit; a state
+    without one steps like its field started fresh.
     """
-    start = start or SimulationState(t=0.0, u=u0)
+    start = _as_state(start)
     row_sink = None
     if sink is not None:
         def row_sink(t, rows, values):
             sink(t, RealField(start.u.grid, values[0]))
-    return integrate_batch([], model, config, row_sink, starts=[start])[0]
+    return integrate_batch([start], model, config, row_sink)[0]
 
 
-def integrate_batch(u0s, model: ModelParams, config: SolverConfig, sink=None,
-                    starts=None) -> list:
-    """Advance the initial-value problems of the fields ``u0s``, all on one
-    grid, together as one (M, N/2+1) array program; returns one
+def integrate_batch(starts, model: ModelParams, config: SolverConfig, sink=None) -> list:
+    """Advance the initial-value problems of ``starts``, all on one grid,
+    together as one (M, N/2+1) array program; returns one
     ``SimulationResult`` per row.
 
-    Each row's result (outcome, state, slope history, breaking report,
-    blow-up time and stage) is bit-identical to that row's own run, and so
-    are its snapshots: ``sink(t, rows, values)`` gets the indices of the
-    rows due a snapshot at t and their grid values, shape (len(rows), N).
-    The rows must resolve to one dt, so with ``dt: auto`` they need equal
-    max|u|.  ``starts``, states sharing one grid and t (checkpoints, say),
-    replaces ``u0s``, whose fields start at t = 0.  A start without a
-    stored spectrum steps like a fresh field.
+    A start is a field, at t = 0, or a ``SimulationState``; the rows share
+    one start time, and a start without a stored spectrum steps like a
+    fresh field.  Each row's result (outcome, state, slope history,
+    breaking report, blow-up time and stage) is bit-identical to that
+    row's own run, and so are its snapshots: ``sink(t, rows, values)``
+    gets the indices of the rows due a snapshot at t and their grid
+    values, shape (len(rows), N).  The rows must resolve to one dt, so
+    with ``dt: auto`` they need equal max|u|.
 
     Every step goes through one ``StepPlan``; grid values are synthesized
     only for the sink, a breaking report and the returned states.  Each
@@ -445,17 +438,16 @@ def integrate_batch(u0s, model: ModelParams, config: SolverConfig, sink=None,
     alone.
     """
     _require_fkdv_for_if(model, config.integrator)
-    if starts is None:
-        starts = [SimulationState(t=0.0, u=u) for u in u0s]
     if not starts:
         raise ParameterError("integrate_batch needs at least one row")
-    grid = starts[0].u.grid
-    if any(s.u.grid != grid or s.t != starts[0].t for s in starts):
-        raise ParameterError("batched rows must share one grid and one start time")
     # each row appends to its own copy of the start's slope history, so
     # the start state can be resumed from again; a stored spectrum is
     # stepped as is, so a resume is bit-exact
-    starts = [replace(s, min_slope_history=list(s.min_slope_history)) for s in starts]
+    starts = [replace(s, min_slope_history=list(s.min_slope_history))
+              for s in map(_as_state, starts)]
+    grid = starts[0].u.grid
+    if any(s.u.grid != grid or s.t != starts[0].t for s in starts):
+        raise ParameterError("batched rows must share one grid and one start time")
     for s in starts:
         if s.u_hat is None:
             s.u_hat = _start_spectrum(grid, s.u.values, config.dealias)

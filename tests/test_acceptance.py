@@ -180,14 +180,14 @@ def test_criterion_06_temporal_order():
 
     res_rk4 = convergence_study(
         "temporal", make_params("fbbm", 1.0),
-        SolverConfig(t_end=1.0, dt=0.02), initial, n_points=64, dt_halvings=3,
+        SolverConfig(t_end=1.0, dt=0.02), initial, n_points=64,
     )
     assert res_rk4.fitted_order == pytest.approx(4.0, abs=0.2)
 
     res_if = convergence_study(
         "temporal", make_params("fkdv", 1.0),
         SolverConfig(t_end=1.0, dt=0.02, integrator=Integrator.IFRK4),
-        initial, n_points=64, dt_halvings=3,
+        initial, n_points=64,
     )
     assert res_if.fitted_order == pytest.approx(4.0, abs=0.2)
     _report(6, f"Richardson orders: RK4/fBBM {res_rk4.fitted_order:.3f}, "

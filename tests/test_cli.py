@@ -563,6 +563,26 @@ class TestDiagnoseCommands:
             f"error: fractional order nu = {float(nu):g} overflows |k|^(2 nu) at k_max = 64"]
         assert not report.exists()
 
+    # (1 + 64^2)^s passes the double range from s = 85.2 on: a config error,
+    # though every field is finite
+    @pytest.mark.parametrize("command,s", [
+        (["commutator", "--s", "85", "--sigma", "86"], 86),
+        (["lipschitz", "--which", "a-lip", "--s", "90"], 90),
+    ], ids=["commutator", "a-lip"])
+    def test_overflowing_sobolev_weight_exit_1(self, tmp_path, capsys, command, s):
+        report = tmp_path / "r.json"
+        code = main(["diagnose"] + command + ["--samples", "4", "--out", str(report)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: Sobolev index s = {s} overflows the weight 2 (1 + k^2)^s at k_max = 64"]
+        assert not report.exists()
+
+    def test_largest_finite_sobolev_weight_runs(self, tmp_path):
+        report = tmp_path / "r.json"
+        assert main(["diagnose", "commutator", "--samples", "4", "--s", "84", "--sigma", "85",
+                     "--out", str(report)]) == 0
+        assert load_strict_json(report)["n_ratios"] == 4
+
     @pytest.mark.parametrize("command,amplitude,degree", [
         (["lipschitz", "--which", "a-lip"], "1e160", 0),
         (["lipschitz", "--which", "b-lip"], "1e160", 0),
@@ -617,10 +637,13 @@ class TestDiagnoseCommands:
         lines = capsys.readouterr().err.splitlines()
         assert lines == ["error: dependence delta 'x' is not a number"]
 
-    def test_convergence_box_size(self, tmp_path):
+    # the boxes are L, 2L and 4L at the spacing L / N, against 8L at 8N
+    # points; L = 10 is no multiple of 2 pi
+    @pytest.mark.parametrize("length", [2.0 * np.pi, 10.0], ids=["L=2pi", "L=10"])
+    def test_convergence_box_size(self, tmp_path, length):
         cfg = {
             "model": {"kind": "fch", "nu": 1.0},
-            "grid": {"N": 64},
+            "grid": {"L": length, "N": 64},
             "initial": {"kind": "gaussian", "amplitude": 0.3, "width": 0.5},
             "solver": {"t_end": 0.5, "dt": 0.01},
         }
@@ -630,10 +653,11 @@ class TestDiagnoseCommands:
             "diagnose", "convergence", "--kind", "box-size",
             "--config", cfg_path, "--out", str(report),
         ]) == 0
-        with open(report) as fh:
-            payload = json.load(fh)
+        payload = load_strict_json(report)
+        assert [row["resolution"] for row in payload["rows"]] == [length, 2 * length, 4 * length]
+        assert payload["reference"]["L"] == 8 * length
         errors = [row["error"] for row in payload["rows"]]
-        assert errors == sorted(errors, reverse=True)  # monotone decrease with L
+        assert errors[0] > errors[1] > errors[2] > 0  # monotone decrease with L
         assert payload["pass"] is True
 
     def test_convergence_spatial(self, tmp_path):

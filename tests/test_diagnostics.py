@@ -38,7 +38,7 @@ from fracwave.models import ModelKind
 from fracwave.operators import lambda_pow
 from fracwave.spectral import require_finite
 from fracwave.timestepper import Integrator, Outcome, resolve_dt
-from conftest import TWO_PI, make_grid
+from conftest import make_grid
 from oracles import masked_product
 
 
@@ -330,7 +330,7 @@ class TestContinuousDependence:
         cfg = SolverConfig(t_end=0.03, dt=0.01)
         s, delta, band, seed, n_pairs = 3.0, 1e-3, 5, 8, 2 * (_BATCH_ELEMENTS // 32) + 3
         (report,) = continuous_dependence_experiment(
-            u0, [delta], n_pairs, p, cfg, s, seed=seed, band_limit=band
+            u0, [delta], n_pairs, p, cfg, s, seed=seed
         )
         run_cfg = replace(cfg, snapshot_every=0.01)
         base = []
@@ -385,7 +385,7 @@ class TestContinuousDependence:
         cfg = SolverConfig(t_end=0.2, dt="auto")
         s, band, seed = 3.0, 5, 4
         reports = continuous_dependence_experiment(
-            u0, deltas, 3, p, cfg, s, seed=seed, band_limit=band
+            u0, deltas, 3, p, cfg, s, seed=seed
         )
         dt, _ = resolve_dt(u0, p, cfg, cfg.t_end)
         run_cfg = replace(cfg, dt=dt, snapshot_every=dt)
@@ -435,7 +435,7 @@ class TestContinuousDependence:
             completed += integrate(v0, p, cfg).outcome is Outcome.COMPLETED
         assert completed > 0
         (report,) = continuous_dependence_experiment(
-            u0, [delta], n_pairs, p, cfg, s, seed=seed, band_limit=band
+            u0, [delta], n_pairs, p, cfg, s, seed=seed
         )
         assert report.censored == n_pairs and report.g_values == []
 
@@ -481,7 +481,6 @@ class TestConvergenceStudy:
         cfg = SolverConfig(t_end=1.0, dt=1e-3, dealias=False)
         res = convergence_study(
             "spatial", model, cfg, lambda grid: np.exp(np.sin(grid.x)),
-            spatial_ns=(16, 32, 64),
         )
         errors = dict((int(n), e) for n, e in res.rows)
         assert errors[64] < 1e-10
@@ -493,17 +492,14 @@ class TestConvergenceStudy:
         res = convergence_study(
             "temporal", model, cfg,
             lambda grid: 0.3 * np.sin(grid.x) + 0.1 * np.cos(2 * grid.x),
-            n_points=32, dt_halvings=2,
+            n_points=32,
         )
         assert res.fitted_order == pytest.approx(4.0, abs=0.3)
 
     def test_box_size_decreasing(self):
         model = make_params("fch", 1.0)
         cfg = SolverConfig(t_end=0.5, dt=0.01)
-        res = convergence_study(
-            "box-size", model, cfg, gaussian_bump,
-            n_points=64, box_lengths=(TWO_PI, 2 * TWO_PI),
-        )
+        res = convergence_study("box-size", model, cfg, gaussian_bump, n_points=64)
         errors = [e for _, e in res.rows]
         assert errors[1] < errors[0]
 

@@ -3,6 +3,7 @@ import pytest
 
 from fracwave import (
     Coefficients,
+    FractionalOrder,
     ModelKind,
     ParameterError,
     RealField,
@@ -55,7 +56,7 @@ class TestModelParams:
     def test_strict_nu(self):
         with pytest.raises(ParameterError):
             make_params("fch", 0.75)
-        assert make_params("fch", 0.75, strict_nu=False).nu.value == 0.75
+        assert make_params("fch", FractionalOrder(0.75, strict=False)).nu.value == 0.75
 
     def test_kind_guard_on_rhs(self):
         g = make_grid(16)

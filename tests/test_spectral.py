@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from fracwave import (
     sobolev_norm,
 )
 from fracwave.spectral import (
+    _fit_line,
     coeffs_of,
     half_coeffs_of,
     half_values_of,
@@ -270,6 +273,26 @@ class TestSobolevNorm:
         with pytest.raises(ParameterError):
             sobolev_norm(RealField.zeros(g), np.inf)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_weight_raises(self):
+        # (1 + 64^2)^s passes the double range from s = 85.2 on, while the
+        # field stays finite
+        g = make_grid(128)
+        u = RealField(g, 0.2 * np.sin(g.x))
+        assert np.isfinite(sobolev_norm(u, 85.0))
+        with pytest.raises(ParameterError, match=r"s = 86 overflows .* k_max = 64$"):
+            sobolev_norm(u, 86.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_doubled_interior_weight_raises(self):
+        # at N = 8192 the doubled weight of index N/2 - 1 overflows while
+        # the Nyquist weight, counted once, is still finite
+        g = make_grid(8192)
+        s = np.log(np.finfo(float).max / 1.5) / np.log1p(g.k_max**2)
+        assert np.isfinite((1.0 + g.k_max**2) ** s)
+        with pytest.raises(ParameterError, match="overflows the weight"):
+            sobolev_weight(g, s)
+
     def test_finite_past_the_square_range(self):
         # |u_hat|^2 of 1e200 sin x overflows, its norm does not
         g = make_grid(64)
@@ -295,6 +318,29 @@ class TestSobolevNorm:
                 assert norms[i] == alone
         full = np.sum((1.0 + g.k**2) ** s * np.abs(coeffs_of(values)) ** 2, axis=-1)
         assert np.allclose(norms, scale * np.sqrt(g.length * full), rtol=1e-14, atol=0)
+
+
+class TestFitLine:
+    def test_exact_line(self):
+        x = np.linspace(0.0, 3.0, 7)
+        slope, intercept = _fit_line(x, 2.5 * x - 1.25)
+        assert slope == pytest.approx(2.5, rel=1e-15)
+        assert intercept == pytest.approx(-1.25, rel=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 120), seed=st.integers(0, 2**32 - 1))
+    def test_matches_exact_least_squares(self, n, seed):
+        # against the least-squares line of the same doubles in rational
+        # arithmetic
+        rng = np.random.default_rng(seed)
+        x = np.arange(n) + rng.uniform(-0.4, 0.4, n)
+        y = rng.standard_normal(n)
+        xs, ys = [Fraction(v) for v in x], [Fraction(v) for v in y]
+        x_mean, y_mean = sum(xs) / n, sum(ys) / n
+        slope = (sum((a - x_mean) * (b - y_mean) for a, b in zip(xs, ys))
+                 / sum((a - x_mean) ** 2 for a in xs))
+        exact = [float(slope), float(y_mean - slope * x_mean)]
+        assert np.allclose(_fit_line(x, y), exact, rtol=1e-13, atol=1e-14)
 
 
 class TestRowKernels:

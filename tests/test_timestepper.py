@@ -26,6 +26,7 @@ from fracwave import (
     derivative,
     detect_breaking,
     dispersion_speed,
+    fbbm_energy,
     forward_transform,
     fractional_laplacian,
     helmholtz_inverse,
@@ -89,7 +90,7 @@ class TestRK4Step:
         start = SimulationState(
             t=0.5, u=RealField(g, half_values_of(u_hat, 16)), u_hat=u_hat
         )
-        res = integrate(None, zero, SolverConfig(t_end=0.75, dt=0.25), start=start)
+        res = integrate(start, zero, SolverConfig(t_end=0.75, dt=0.25))
         assert res.state.t == 0.75
         assert res.state.step_count == 1
         assert np.array_equal(res.state.u_hat, u_hat)
@@ -345,36 +346,36 @@ class TestAutoDt:
     def test_rest_state_uses_dispersion_sup(self):
         g = make_grid(64)
         p = make_params("fch", 1.0)
-        dt = auto_dt(RealField.zeros(g), p, g, cfl=0.5)
+        dt = auto_dt(RealField.zeros(g), p, cfl=0.5)
         assert dt == pytest.approx(0.5 * g.spacing)  # sup_k c(k) = 1
 
     def test_doubling_n_halves_dt(self):
         p = make_params("fch", 1.0)
         g1, g2 = make_grid(64), make_grid(128)
-        dt1 = auto_dt(RealField.zeros(g1), p, g1, cfl=0.5)
-        dt2 = auto_dt(RealField.zeros(g2), p, g2, cfl=0.5)
+        dt1 = auto_dt(RealField.zeros(g1), p, cfl=0.5)
+        dt2 = auto_dt(RealField.zeros(g2), p, cfl=0.5)
         assert dt2 == pytest.approx(dt1 / 2)
 
     def test_large_amplitude_dominates(self):
         g = make_grid(64)
         p = make_params("fch", 1.0)
         u = RealField(g, 10.0 * np.sin(g.x))
-        assert auto_dt(u, p, g, cfl=0.5) == pytest.approx(0.5 * g.spacing / 10.0)
+        assert auto_dt(u, p, cfl=0.5) == pytest.approx(0.5 * g.spacing / 10.0)
 
     def test_ifrk4_excludes_dispersion(self):
         g = make_grid(64)
         p = make_params("fkdv", 1.0)
         u = RealField(g, 0.1 * np.sin(g.x))
         # RK4 would see the |k|^(2nu+1) phase; IFRK4 handles it exactly
-        dt_rk4 = auto_dt(u, p, g, cfl=0.5, integrator=Integrator.RK4)
-        dt_if = auto_dt(u, p, g, cfl=0.5, integrator=Integrator.IFRK4)
+        dt_rk4 = auto_dt(u, p, cfl=0.5, integrator=Integrator.RK4)
+        dt_if = auto_dt(u, p, cfl=0.5, integrator=Integrator.IFRK4)
         assert dt_if == pytest.approx(0.5 * g.spacing)
         assert dt_rk4 < dt_if / 100
 
     def test_all_rest_fallback(self):
         g = make_grid(64)
         p = make_params("linearized", 1.0, Coefficients(c_adv=0.0, c_nl=0.0))
-        dt = auto_dt(RealField.zeros(g), p, g, cfl=0.25)
+        dt = auto_dt(RealField.zeros(g), p, cfl=0.25)
         assert dt == pytest.approx(0.25 * g.spacing)
 
 
@@ -490,8 +491,8 @@ class TestIntegrate:
         u_hat = np.full(33, 1e307, dtype=complex)
         start = SimulationState(t=0.5, u=RealField.zeros(g), u_hat=u_hat)
         seen = []
-        res = integrate(None, zero, SolverConfig(t_end=1.0, dt=0.25),
-                        sink=lambda t, u: seen.append(u), start=start)
+        res = integrate(start, zero, SolverConfig(t_end=1.0, dt=0.25),
+                        sink=lambda t, u: seen.append(u))
         assert res.outcome is Outcome.BLOWUP
         assert res.blowup_time == 0.5
         assert res.blowup_stage == 5
@@ -573,8 +574,8 @@ class TestIntegrate:
         p = make_params("fch", 1.0)
         fresh_snaps, start_snaps = [], []
         fresh = integrate(u0, p, cfg, sink=lambda t, u: fresh_snaps.append((t, u.values)))
-        started = integrate(None, p, cfg, sink=lambda t, u: start_snaps.append((t, u.values)),
-                            start=SimulationState(t=0.0, u=u0))
+        started = integrate(SimulationState(t=0.0, u=u0), p, cfg,
+                            sink=lambda t, u: start_snaps.append((t, u.values)))
         assert started.dt == fresh.dt
         assert started.state.u.values.tobytes() == fresh.state.u.values.tobytes()
         assert started.state.u_hat.tobytes() == fresh.state.u_hat.tobytes()
@@ -635,6 +636,25 @@ def _hand_loop(u0, p, cfg):
             if report is not None and cfg.on_breaking == "halt":
                 return Outcome.BREAKING, history, report
     return Outcome.COMPLETED, history, report
+
+
+class TestConservedEnergyProperty:
+    # fCH conserves the fBBM energy: multiply its form by u and integrate,
+    # and the c_mix terms cancel.  What a run drifts is RK4's truncation,
+    # which halving dt divides by about 2^4 = 16; the bound asks for half.
+    @settings(max_examples=8, deadline=None)
+    @given(k=st.sampled_from([1, 2]), amplitude=st.floats(0.2, 0.35),
+           phase=st.floats(0.0, 2.0 * np.pi))
+    def test_fch_drifts_the_fbbm_energy_at_the_scheme_order(self, k, amplitude, phase):
+        g = make_grid(64)
+        p = make_params("fch", 1.0)
+        u0 = RealField(g, amplitude * np.sin(k * g.x + phase))
+
+        def drift(dt):
+            u = integrate(u0, p, SolverConfig(t_end=5.0, dt=dt)).state.u
+            return abs(fbbm_energy(u, p) - fbbm_energy(u0, p))
+
+        assert drift(0.02) >= 8.0 * drift(0.01) > 0.0
 
 
 class TestSlopeFromStageOne:
@@ -743,7 +763,7 @@ class TestIntegrateBatch:
         starts = [integrate(RealField(g, 0.3 * np.sin(g.x)), p, replace(cfg, t_end=t)).state
                   for t in (0.02, 0.03)]
         with pytest.raises(ParameterError, match="one start time"):
-            integrate_batch([], p, cfg, starts=starts)
+            integrate_batch(starts, p, cfg)
 
 
 class TestCheckpoint:
@@ -851,9 +871,7 @@ class TestResume:
         first = integrate(u0, p, SolverConfig(t_end=0.5, dt=dt))
         path = tmp_path / "mid.fwck"
         checkpoint_write(first.state, path)
-        resumed = integrate(
-            u0, p, SolverConfig(t_end=1.0, dt=dt), start=checkpoint_read(path)
-        )
+        resumed = integrate(checkpoint_read(path), p, SolverConfig(t_end=1.0, dt=dt))
 
         assert resumed.state.t == straight.state.t
         assert resumed.state.step_count == straight.state.step_count
@@ -867,8 +885,7 @@ class TestResume:
         straight, resumed = {}, {}
         integrate(u0, p, cfg, sink=lambda t, u: straight.setdefault(t, u.values.tobytes()))
         start = integrate(u0, p, replace(cfg, t_end=0.15)).state
-        integrate(u0, p, cfg, start=start,
-                  sink=lambda t, u: resumed.setdefault(t, u.values.tobytes()))
+        integrate(start, p, cfg, sink=lambda t, u: resumed.setdefault(t, u.values.tobytes()))
         assert min(resumed) == start.t
         later = {t: snap for t, snap in straight.items() if t > start.t}
         assert len(later) == 4
@@ -880,8 +897,8 @@ class TestResume:
         p, cfg = make_params("fch", 1.0), SolverConfig(t_end=0.04, dt=0.01)
         start = integrate(u0, p, replace(cfg, t_end=0.02)).state
         before = list(start.min_slope_history)
-        first = integrate(u0, p, cfg, start=start)
-        second = integrate(u0, p, cfg, start=start)
+        first = integrate(start, p, cfg)
+        second = integrate(start, p, cfg)
         assert start.min_slope_history == before
         for result in (first, second):
             ts = [t for t, _ in result.state.min_slope_history]
@@ -899,7 +916,7 @@ def _split_run(kind, amplitude, steps, start=None, sink=None):
     cfg = SolverConfig(t_end=steps * _SPLIT_DT, dt=_SPLIT_DT, snapshot_every=_SPLIT_DT,
                        integrator=_SPLIT_CASES[kind])
     u0 = RealField(g, amplitude * np.sin(g.x) + 0.5 * amplitude * np.cos(3 * g.x))
-    return integrate(u0, make_params(kind, 1.0), cfg, sink=sink, start=start)
+    return integrate(start or u0, make_params(kind, 1.0), cfg, sink=sink)
 
 
 class TestResumeProperty:
