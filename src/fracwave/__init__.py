@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys((
         "BlowUpError", "CheckpointError", "ConfigError", "FracwaveError",
-        "GridMismatchError", "ParameterError", "SymbolError", "SymmetryError",
+        "GridMismatchError", "ParameterError", "SymbolError",
     ), "errors"),
     **dict.fromkeys((
         "Grid", "RealField", "SpectralField", "apply_symbol", "dealias", "derivative",

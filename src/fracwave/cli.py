@@ -94,7 +94,7 @@ class _SnapshotWriter:
     def __call__(self, t, u):
         from .config import write_snapshot
         from .models import _conserved, _conserved_weights
-        from .spectral import half_coeffs_of
+        from .spectral import coeffs_of
 
         name = f"snap_{len(self.entries):06d}.csv"
         path = os.path.join(self.directory, name)
@@ -105,7 +105,7 @@ class _SnapshotWriter:
             self._weights = _conserved_weights(u.grid, self._model)
         self.entries.append({"t": t, "file": name})
         self.times.append(t)
-        half = half_coeffs_of(u.values)
+        half = coeffs_of(u.values)
         if self._mode is not None:
             self.coeffs.append(half[self._mode])
         values = _conserved(u.grid, half, self._weights)
@@ -200,10 +200,9 @@ def _execute_run(run_cfg, start=None):
         ),
         "measured_phase_speed": phase_speed,
     }
-    if run_cfg.output.manifest:
-        path = os.path.join(out_dir, "manifest.json")
-        with _writing("manifest", path):
-            write_manifest(path, manifest)
+    path = os.path.join(out_dir, "manifest.json")
+    with _writing("manifest", path):
+        write_manifest(path, manifest)
 
     if result.outcome is Outcome.BREAKING:
         return EXIT_BREAKING, manifest

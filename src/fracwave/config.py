@@ -47,7 +47,7 @@ _SOLVER_KEYS = {
     "tail_fraction_threshold": float,
     "on_breaking": str,
 }
-_OUTPUT_KEYS = {"directory": str, "manifest": bool}
+_OUTPUT_KEYS = {"directory": str}
 _GRID_KEYS = {"L": float, "N": int}
 _INITIAL_KINDS = {
     "zero": {},
@@ -72,7 +72,6 @@ class InitialSpec:
 @dataclass
 class OutputConfig:
     directory: str = "out"
-    manifest: bool = True
 
 
 @dataclass

@@ -38,12 +38,12 @@ from .spectral import (
     Grid,
     RealField,
     _fit_line,
+    coeffs_of,
     fit_phase_speed,
-    half_coeffs_of,
-    half_values_of,
     require_finite,
     sobolev_norms,
     sobolev_weight,
+    values_of,
 )
 
 if TYPE_CHECKING:  # the probes run without the solver; its functions load where used
@@ -123,7 +123,7 @@ def random_band_limited(grid: Grid, band_limit: int, rng) -> RealField:
     """One smooth random field: uniform phases, |k|^-2 envelope, zero mean."""
     _check_band(grid, band_limit)
     phases = rng.uniform(0.0, 2.0 * np.pi, band_limit)
-    return RealField(grid, half_values_of(_band_limited(grid, phases), grid.n_points))
+    return RealField(grid, values_of(_band_limited(grid, phases), grid.n_points))
 
 
 def _check_band(grid: Grid, band_limit: int) -> None:
@@ -134,7 +134,7 @@ def _check_band(grid: Grid, band_limit: int) -> None:
 def _band_limited(grid: Grid, phases: np.ndarray) -> np.ndarray:
     """Half spectra of the fields of ``random_band_limited`` with the given
     phases, shape (..., band) -> (..., N/2+1)."""
-    coeffs = np.zeros(phases.shape[:-1] + (grid.n_points // 2 + 1,), dtype=np.complex128)
+    coeffs = np.zeros(phases.shape[:-1] + grid.k.shape, dtype=np.complex128)
     idx = np.arange(1, phases.shape[-1] + 1)
     coeffs[..., idx] = np.abs(grid.k[idx]) ** -2.0 * np.exp(1j * phases)
     return coeffs
@@ -186,7 +186,7 @@ class _Fields:
     def diff_norm(self, a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
         """Norms of a - b: half spectra, or grid values if ``a`` is real."""
         diff = require_finite(a - b)
-        return self.norm(diff if np.iscomplexobj(diff) else half_coeffs_of(diff), s)
+        return self.norm(diff if np.iscomplexobj(diff) else coeffs_of(diff), s)
 
     def scaled(self, phases: np.ndarray, s: float, target) -> np.ndarray:
         """Fields rescaled to H^s norm ``target``, a number or one per row."""
@@ -250,7 +250,7 @@ def commutator_estimate_sample(
         f_phases, g_phases = fields.draw(rng, rows, ("phases", "phases"))
         f = fields.scaled(f_phases, sigma, spec.amplitude)
         g = fields.scaled(g_phases, s + m - 1.0, spec.amplitude)
-        comm, _ = ops.commutator(ops.lambda_symbol(m), half_values_of(f, spec.grid.n_points), g)
+        comm, _ = ops.commutator(ops.lambda_symbol(m), values_of(f, spec.grid.n_points), g)
         return fields.norm(comm, s), fields.norm(f, sigma) * fields.norm(g, s + m - 1.0)
 
     return _sample_report("commutator", {"m": m, "s": s, "sigma": sigma, "nu": nu.value},
@@ -390,8 +390,8 @@ def continuous_dependence_experiment(
     def draw(rng, rows):
         """(delta, direction) rows of perturbed data, scaled on the grid, and their d0."""
         (phases,) = fields.draw(rng, rows, ("phases",))
-        p = require_finite(half_values_of(_band_limited(grid, phases), grid.n_points))
-        p = require_finite(p * (scales / fields.norm(half_coeffs_of(p), s - 1.0))[..., None])
+        p = require_finite(values_of(_band_limited(grid, phases), grid.n_points))
+        p = require_finite(p * (scales / fields.norm(coeffs_of(p), s - 1.0))[..., None])
         perturbed0 = require_finite(u0.values + p).reshape(-1, grid.n_points)
         return perturbed0, fields.diff_norm(perturbed0, u0.values, s - 1.0)
 
@@ -540,5 +540,5 @@ def convergence_study(
 def measure_phase_speed(times, fields, mode: int) -> float:
     """Phase speed of one Fourier mode from a snapshot series of fields;
     see ``fit_phase_speed``.  Modes -m and m travel together."""
-    coeffs = [half_coeffs_of(f.values)[abs(mode)] for f in fields]
+    coeffs = [coeffs_of(f.values)[abs(mode)] for f in fields]
     return fit_phase_speed(times, coeffs, fields[0].grid if fields else None, abs(mode))

@@ -27,11 +27,6 @@ class BlowUpError(FracwaveError):
         self.stage = stage
 
 
-class SymmetryError(FracwaveError):
-    """Spectral coefficients are not conjugate-symmetric but a real
-    result was demanded."""
-
-
 class SymbolError(FracwaveError):
     """A Fourier multiplier evaluated to a non-finite value at some
     grid wavenumber."""

@@ -32,11 +32,11 @@ from .operators import FractionalOrder, _on_fields, _power_of_k, laplacian_symbo
 from .spectral import (
     Grid,
     RealField,
+    coeffs_of,
     first_min,
-    half_coeffs_of,
-    half_values_of,
     sobolev_norms,
     sobolev_weight,
+    values_of,
 )
 
 
@@ -130,24 +130,23 @@ class SpectralRHS:
         c_nl, c_mix = c.c_nl, c.c_mix
         if p.kind is ModelKind.LINEARIZED_FCH:
             c_nl = c_mix = 0.0
-        half = grid.n_points // 2 + 1
         self.n_points = grid.n_points
-        self._ik = ik = grid._ik[:half]  # signed layout: the first half is the rfft layout
-        lap = laplacian_symbol(grid, p.nu.value)[:half]
+        self._ik = ik = grid._ik
+        lap = laplacian_symbol(grid, p.nu.value)
         inv_evo = 1.0 / (1.0 + c.c_evo * lap)
-        keep = grid.dealias_keep[:half] if dealias else 1.0
+        keep = grid.dealias_keep if dealias else 1.0
         self.linear_symbol = -ik * (c.c_adv + c.c_disp * lap) * inv_evo
         self._linear = self.linear_symbol if linear else None
         # rows multiplied into u_hat before the inverse transform, and the
         # weight of each product u * row_j (j >= 1) in du/dt
         if c_mix != 0.0:
-            self._rows = np.stack([np.ones(half), ik, ik * lap])
+            self._rows = np.stack([np.ones_like(lap), ik, ik * lap])
             self._weights = (
                 -(c_nl + 2.0 * c_mix * lap) * inv_evo * keep,
                 -c_mix * inv_evo * keep,
             )
         elif c_nl != 0.0:
-            self._rows = np.stack([np.ones(half), ik])
+            self._rows = np.stack([np.ones_like(lap), ik])
             self._weights = (-c_nl * inv_evo * keep,)
         else:
             self._rows = None
@@ -162,7 +161,7 @@ class SpectralRHS:
         value of u_x, bit for bit that of transforming ik u_hat alone."""
         out, ux = self._evaluate(u_hat)
         if ux is None:
-            ux = half_values_of(self._ik * u_hat, self.n_points)
+            ux = values_of(self._ik * u_hat, self.n_points)
         return out, first_min(ux)[0]
 
     def _evaluate(self, u_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -173,8 +172,8 @@ class SpectralRHS:
             return self._linear * u_hat, None
         # the rows lead, so a spectrum and a batch index the same way below
         rows = self._rows if u_hat.ndim == 1 else self._rows[:, None, :]
-        vals = half_values_of(rows * u_hat, self.n_points)
-        prods = half_coeffs_of(vals[0] * vals[1:])
+        vals = values_of(rows * u_hat, self.n_points)
+        prods = coeffs_of(vals[0] * vals[1:])
         out = self._weights[0] * prods[0]
         if len(self._weights) > 1:
             out += self._weights[1] * prods[1]
@@ -184,7 +183,7 @@ class SpectralRHS:
 
     def field(self, u: RealField) -> RealField:
         """du/dt as a grid function."""
-        return RealField(u.grid, half_values_of(self(half_coeffs_of(u.values)), self.n_points))
+        return RealField(u.grid, values_of(self(coeffs_of(u.values)), self.n_points))
 
 
 def make_rhs(grid: Grid, p: ModelParams, dealias: bool = True, linear: bool = True) -> SpectralRHS:
@@ -242,7 +241,7 @@ def dispersion_speed(k, p: ModelParams):
 def _conserved_weights(grid: Grid, p: ModelParams) -> tuple:
     """Half-spectrum weights of twice the momentum and twice the fBBM energy."""
     weight = sobolev_weight(grid, 0.0)
-    lap = laplacian_symbol(grid, p.nu.value)[: len(weight)]
+    lap = laplacian_symbol(grid, p.nu.value)
     return weight, weight * (1.0 + p.coefficients.c_evo * lap)
 
 
@@ -259,14 +258,14 @@ def _conserved(grid: Grid, half: np.ndarray, weights=()) -> list:
 
 def mass(u: RealField) -> float:
     """integral of u over the box: L * u_hat_0.  Conserved by the fCH flow."""
-    return _conserved(u.grid, half_coeffs_of(u.values))[0]
+    return _conserved(u.grid, coeffs_of(u.values))[0]
 
 
 def momentum(u: RealField) -> float:
     """(1/2) integral of u^2: (L/2) sum_k |u_hat_k|^2.  Conserved by fKdV."""
-    return _conserved(u.grid, half_coeffs_of(u.values), [sobolev_weight(u.grid, 0.0)])[1]
+    return _conserved(u.grid, coeffs_of(u.values), [sobolev_weight(u.grid, 0.0)])[1]
 
 
 def fbbm_energy(u: RealField, p: ModelParams) -> float:
     """(L/2) sum_k (1 + c_evo |k|^(2 nu)) |u_hat_k|^2.  Conserved by fBBM."""
-    return _conserved(u.grid, half_coeffs_of(u.values), _conserved_weights(u.grid, p)[1:])[1]
+    return _conserved(u.grid, coeffs_of(u.values), _conserved_weights(u.grid, p)[1:])[1]

@@ -32,10 +32,10 @@ from .errors import ParameterError
 from .spectral import (
     Grid,
     RealField,
-    half_coeffs_of,
-    half_values_of,
+    coeffs_of,
     require_finite,
     require_same_grid,
+    values_of,
 )
 
 
@@ -101,7 +101,7 @@ def lambda_symbol(grid: Grid, p: float, nu: float) -> np.ndarray:
 def masked_product(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Half spectrum of the pointwise product of two value arrays, checked
     finite on the grid and dealiased (2/3 rule)."""
-    return grid.dealias_keep[: grid.n_points // 2 + 1] * half_coeffs_of(require_finite(a * b))
+    return grid.dealias_keep * coeffs_of(require_finite(a * b))
 
 
 class OperatorPlan:
@@ -117,20 +117,19 @@ class OperatorPlan:
     def __init__(self, grid: Grid, nu: float):
         self.grid = grid
         self.nu = nu
-        self._half = grid.n_points // 2 + 1
-        self._ik = grid._ik[: self._half]
+        self._ik = grid._ik
         self._lambda = {}
 
     @cached_property
     def lap(self) -> np.ndarray:
-        return laplacian_symbol(self.grid, self.nu)[: self._half]
+        return laplacian_symbol(self.grid, self.nu)
 
     def lambda_symbol(self, p: float) -> np.ndarray:
         sym = self._lambda.get(p)
         if sym is None:
             if not np.isfinite(p):
                 raise ParameterError(f"lambda power must be finite, got {p}")
-            sym = self._lambda[p] = lambda_symbol(self.grid, p, self.nu)[: self._half]
+            sym = self._lambda[p] = lambda_symbol(self.grid, p, self.nu)
         return sym
 
     def lambda_pow(self, w_hat: np.ndarray, p: float) -> np.ndarray:
@@ -139,7 +138,7 @@ class OperatorPlan:
     def commutator(self, sym: np.ndarray, u: np.ndarray, w_hat: np.ndarray):
         """([u, S] w, (u w)^) = (u S w - S(u w), u w), products dealiased, for
         the symbol ``sym`` of S, grid values ``u`` and the spectrum ``w_hat``."""
-        vals = half_values_of(np.stack([sym * w_hat, w_hat]), self.grid.n_points)
+        vals = values_of(np.stack([sym * w_hat, w_hat]), self.grid.n_points)
         prods = masked_product(self.grid, u, vals)
         # a finite commutator implies a finite (u w)^, S being finite
         return require_finite(prods[0] - sym * prods[1]), prods[1]
@@ -147,7 +146,7 @@ class OperatorPlan:
     def apply_A(self, u_hat: np.ndarray, z_hat: np.ndarray, linear: bool = True) -> np.ndarray:
         """A(u) z; ``linear=False`` leaves out its linear part z_x."""
         zx = self._ik * z_hat
-        comm, u_zx = self.commutator(self.lap, half_values_of(u_hat, self.grid.n_points), zx)
+        comm, u_zx = self.commutator(self.lap, values_of(u_hat, self.grid.n_points), zx)
         return require_finite((zx + u_zx if linear else u_zx)
                               + self.lambda_symbol(-2.0 * self.nu) * comm)
 
@@ -161,7 +160,7 @@ class OperatorPlan:
         return require_finite(self.lambda_pow(inner, 1.0) - outer)
 
     def apply_f(self, u_hat: np.ndarray) -> np.ndarray:
-        u = half_values_of(u_hat, self.grid.n_points)
+        u = values_of(u_hat, self.grid.n_points)
         sq_hat = masked_product(self.grid, u, u)
         return require_finite(self.lambda_symbol(-2.0 * self.nu) * self._ik * sq_hat)
 
@@ -169,9 +168,9 @@ class OperatorPlan:
 def _on_fields(nu, kernel, *fields) -> RealField:
     """``kernel(plan, *half spectra of fields)`` as a field on their grid."""
     grid = require_same_grid(*fields)
-    halves = [half_coeffs_of(f.values) for f in fields]
+    halves = [coeffs_of(f.values) for f in fields]
     out = kernel(OperatorPlan(grid, as_order(nu).value), *halves)
-    return RealField(grid, half_values_of(out, grid.n_points))
+    return RealField(grid, values_of(out, grid.n_points))
 
 
 # -- field-level operators ----------------------------------------------

@@ -6,12 +6,17 @@ normalization
 
     u(x_j) = sum_k  u_hat_k * exp(i k x_j),    k = 2*pi*j/L,
 
-with the signed index j running over [-N/2, N/2) in standard FFT order.
-Under this convention u_hat_0 is the mean of u and single-mode fields have
-coefficients of magnitude amplitude/2, which keeps hand-computed test
-values exact.
+with the signed index j running over [-N/2, N/2).  Under this convention
+u_hat_0 is the mean of u and single-mode fields have coefficients of
+magnitude amplitude/2, which keeps hand-computed test values exact.
 
-The transforms go through numpy.fft.
+Every field is real, so its spectrum is conjugate-symmetric and the
+coefficients of j = 0..N/2 (the ``rfft`` layout) are the whole of it: that
+half spectrum is the one spectral layout of the package.  Its last entry is
+the Nyquist coefficient, at signed index -N/2.  ``Grid.modes``, ``k``,
+``_ik`` and ``dealias_keep`` hold those N/2+1 entries; ``Grid.x`` holds the
+N grid points.  The one transform pair is ``coeffs_of``/``values_of``,
+through numpy.fft's ``rfft``/``irfft``.
 """
 
 from __future__ import annotations
@@ -20,24 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BlowUpError,
-    GridMismatchError,
-    ParameterError,
-    SymbolError,
-    SymmetryError,
-)
-
-_SYMMETRY_TOL = 1e-10
+from .errors import BlowUpError, GridMismatchError, ParameterError, SymbolError
 
 
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on [0, length).
 
-    ``n_points`` must be even (the signed spectrum layout needs it) and at
-    least 8.  Powers of two give the fastest transforms but are not
-    required.
+    ``n_points`` must be even (the half spectrum then ends on the Nyquist
+    mode) and at least 8.  Powers of two give the fastest transforms but
+    are not required.
     """
 
     length: float
@@ -51,16 +48,17 @@ class Grid:
             raise ParameterError(f"n_points must be even and >= 8, got {n}")
         # Derived arrays are stashed once; the dataclass stays hashable on
         # (length, n_points) alone.  numpy sizes no array past intp-max
-        # bytes, and ik takes 16 a point.
+        # bytes, and ik takes 16 an entry.
         too_large = ParameterError(f"n_points = {n} is too large to allocate")
         if n > np.iinfo(np.intp).max // 16:
             raise too_large
         try:
             x = np.arange(n) * (self.length / n)
-            modes = np.fft.fftfreq(n, d=1.0 / n)  # signed indices [-N/2, N/2)
+            modes = np.fft.rfftfreq(n, d=1.0 / n)  # indices 0..N/2
+            modes[-1] = -modes[-1]  # the Nyquist mode's signed index is -N/2
             k = (2.0 * np.pi / self.length) * modes
             ik = 1j * k
-            ik[n // 2] = 0.0  # Nyquist zeroed for odd derivatives of real data
+            ik[-1] = 0.0  # Nyquist zeroed for odd derivatives of real data
             mask = 3 * np.abs(modes) <= n  # 2/3 rule: keep |j| <= N/3
         except MemoryError:
             raise too_large from None
@@ -128,25 +126,25 @@ class RealField:
 
 @dataclass(eq=False)
 class SpectralField:
-    """Fourier coefficients of a grid function, signed layout, analysis
-    normalization (see module docstring)."""
+    """Fourier coefficients of a real grid function: the N/2+1 entries of
+    the half spectrum, analysis normalization (see module docstring)."""
 
     grid: Grid
     coefficients: np.ndarray
 
     def __post_init__(self):
         coeffs = np.array(self.coefficients, dtype=np.complex128, copy=True)
-        if coeffs.shape != (self.grid.n_points,):
+        if coeffs.shape != self.grid.k.shape:
             raise GridMismatchError(
-                f"spectrum has {coeffs.shape} coefficients for a grid of "
-                f"{self.grid.n_points} points"
+                f"spectrum has {coeffs.shape} coefficients; a grid of "
+                f"{self.grid.n_points} points has {len(self.grid.k)}"
             )
         coeffs.setflags(write=False)
         self.coefficients = require_finite(coeffs)
 
     @classmethod
     def zeros(cls, grid: Grid) -> "SpectralField":
-        return cls(grid, np.zeros(grid.n_points, dtype=np.complex128))
+        return cls(grid, np.zeros(grid.k.shape, dtype=np.complex128))
 
 
 def require_same_grid(*fields) -> Grid:
@@ -166,20 +164,12 @@ def require_same_grid(*fields) -> Grid:
 # and each row's result is bit-identical to transforming that row alone.
 
 def coeffs_of(values: np.ndarray) -> np.ndarray:
-    return np.fft.fft(values) / values.shape[-1]
-
-
-def values_of(coeffs: np.ndarray) -> np.ndarray:
-    return (coeffs.shape[-1] * np.fft.ifft(coeffs)).real
-
-
-def half_coeffs_of(values: np.ndarray) -> np.ndarray:
-    """Coefficients of indices 0..N/2 (the ``rfft`` layout) along the last
+    """Coefficients of indices 0..N/2 (the half spectrum) along the last
     axis; the rest follow by conjugate symmetry."""
     return np.fft.rfft(values, norm="forward")
 
 
-def half_values_of(coeffs: np.ndarray, n_points: int) -> np.ndarray:
+def values_of(coeffs: np.ndarray, n_points: int) -> np.ndarray:
     """Grid values from a half spectrum along the last axis.  The imaginary
     parts of the mean and Nyquist coefficients are ignored."""
     return np.fft.irfft(coeffs, n_points, norm="forward")
@@ -193,42 +183,29 @@ def first_min(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (values[i] if values.ndim == 1 else values[np.arange(len(values)), i]), i
 
 
-def symmetry_defect(coeffs: np.ndarray) -> float:
-    """Max deviation from conjugate symmetry u_hat(-k) = conj(u_hat(k))."""
-    n = len(coeffs)
-    mirrored = coeffs[(-np.arange(n)) % n]
-    return float(np.abs(mirrored - np.conj(coeffs)).max())
-
-
 def forward_transform(u: RealField) -> SpectralField:
     """Fourier coefficients of ``u`` (fast path, O(N log N))."""
     return SpectralField(u.grid, coeffs_of(u.values))
 
 
 def inverse_transform(field: SpectralField) -> RealField:
-    """Synthesize the real grid function from coefficients.
-
-    The coefficients must be conjugate-symmetric to within 1e-10
-    (relative to the largest coefficient); otherwise the requested real
-    result does not exist and a ``SymmetryError`` is raised.
-    """
-    coeffs = field.coefficients
-    scale = max(1.0, float(np.abs(coeffs).max()))
-    defect = symmetry_defect(coeffs)
-    if defect > _SYMMETRY_TOL * scale:
-        raise SymmetryError(
-            f"spectrum is not conjugate-symmetric (defect {defect:.3e}, "
-            f"scale {scale:.3e}); real output is undefined"
-        )
-    return RealField(field.grid, values_of(coeffs))
+    """Synthesize the real grid function from its half spectrum; see
+    ``values_of``."""
+    return RealField(field.grid, values_of(field.coefficients, field.grid.n_points))
 
 
 def apply_symbol(field: SpectralField, m) -> SpectralField:
     """Multiply coefficients by a Fourier symbol, u_hat_k <- m(k) u_hat_k.
 
-    ``m`` maps a physical wavenumber to a real or complex factor.  It may
-    be vectorized over the wavenumber array or scalar-only; both work.
-    Non-finite symbol values raise ``SymbolError`` naming the wavenumber.
+    ``m`` maps a physical wavenumber to a real or complex factor.  It is
+    evaluated on the half spectrum only, at ``Grid.k`` (indices 0..N/2, the
+    Nyquist entry at -k_max), and the coefficients of -k follow by
+    conjugate symmetry: the multiplier applied is that of a real operator,
+    conj(m(k)) at -k in place of m(-k).  Synthesis ignores the imaginary
+    part of the Nyquist coefficient, so an odd symbol such as ik zeroes
+    that mode, as ``derivative`` does.  ``m`` may be vectorized over the
+    wavenumber array or scalar-only; both work.  Non-finite symbol values
+    raise ``SymbolError`` naming the wavenumber.
     """
     k = field.grid.k
     try:
@@ -257,8 +234,7 @@ def dealias(field: SpectralField) -> SpectralField:
 def derivative(u: RealField) -> RealField:
     """Spectral d/dx.  The Nyquist mode is zeroed, which keeps odd
     derivatives of real data real."""
-    n = u.grid.n_points
-    return RealField(u.grid, half_values_of(u.grid._ik[: n // 2 + 1] * half_coeffs_of(u.values), n))
+    return RealField(u.grid, values_of(u.grid._ik * coeffs_of(u.values), u.grid.n_points))
 
 
 def sobolev_weight(grid: Grid, s: float) -> np.ndarray:
@@ -267,7 +243,7 @@ def sobolev_weight(grid: Grid, s: float) -> np.ndarray:
     a ParameterError naming s and k_max where a weight overflows."""
     if not np.isfinite(s):
         raise ParameterError(f"Sobolev index must be finite, got {s}")
-    weight = (1.0 + grid.k[: grid.n_points // 2 + 1] ** 2) ** s
+    weight = (1.0 + grid.k**2) ** s
     weight[1:-1] *= 2.0
     if not np.isfinite(weight).all():
         raise ParameterError(
@@ -292,11 +268,9 @@ def sobolev_norms(grid: Grid, half: np.ndarray, weight: np.ndarray) -> np.ndarra
 def sobolev_norm(u, s: float) -> float:
     """H^s norm with the Bessel weight: ( L * sum_k (1+k^2)^s |u_hat_k|^2 )^(1/2).
 
-    Accepts either a RealField or a SpectralField; a SpectralField is read
-    as the spectrum of a real field, from its indices 0..N/2.
+    Accepts either a RealField or a SpectralField.
     """
-    n = u.grid.n_points
-    half = half_coeffs_of(u.values) if isinstance(u, RealField) else u.coefficients[: n // 2 + 1]
+    half = coeffs_of(u.values) if isinstance(u, RealField) else u.coefficients
     return float(sobolev_norms(u.grid, half, sobolev_weight(u.grid, s)))
 
 

@@ -49,11 +49,11 @@ from .spectral import (
     Grid,
     RealField,
     _fit_line,
+    coeffs_of,
     first_min,
-    half_coeffs_of,
-    half_values_of,
     sobolev_norms,
     sobolev_weight,
+    values_of,
 )
 
 AUTO = "auto"
@@ -292,14 +292,14 @@ def _slope_stats(grid: Grid, u_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     (N/2+1,) or a batch (M, N/2+1)).  A stepped state's min u_x comes from
     its next step's stage 1 (``SpectralRHS.with_slope``) bit for bit; this
     transform serves the start and final states and the location."""
-    ux = half_values_of(grid._ik[: grid.n_points // 2 + 1] * u_hat, grid.n_points)
+    ux = values_of(grid._ik * u_hat, grid.n_points)
     least, i = first_min(ux)
     return least, grid.x[i]
 
 
 def _tail_fraction(grid: Grid, u_hat: np.ndarray) -> float:
     weight = sobolev_weight(grid, 0.0)
-    tail = np.abs(grid.modes[: len(weight)]) > grid.n_points // 3 / 2  # past half the kept band
+    tail = np.abs(grid.modes) > grid.n_points // 3 / 2  # past half the kept band
     tail_norm, norm = sobolev_norms(grid, u_hat, np.stack([weight * tail, weight]))
     return float((tail_norm / norm) ** 2) if norm else 0.0
 
@@ -367,14 +367,14 @@ def _step_count(ratio: float) -> int:
 
 
 def _spectrum_of(state: SimulationState) -> np.ndarray:
-    return state.u_hat if state.u_hat is not None else half_coeffs_of(state.u.values)
+    return state.u_hat if state.u_hat is not None else coeffs_of(state.u.values)
 
 
 def _start_spectrum(grid: Grid, values: np.ndarray, dealias: bool) -> np.ndarray:
-    u_hat = half_coeffs_of(values)
+    u_hat = coeffs_of(values)
     if dealias:
         # keep the evolved band clean from the start
-        u_hat = grid.dealias_keep[: grid.n_points // 2 + 1] * u_hat
+        u_hat = grid.dealias_keep * u_hat
     return u_hat
 
 
@@ -451,7 +451,7 @@ def integrate_batch(starts, model: ModelParams, config: SolverConfig, sink=None)
     for s in starts:
         if s.u_hat is None:
             s.u_hat = _start_spectrum(grid, s.u.values, config.dealias)
-            s.u = RealField(grid, half_values_of(s.u_hat, grid.n_points))
+            s.u = RealField(grid, values_of(s.u_hat, grid.n_points))
     u_hat = np.stack([s.u_hat for s in starts])
     n, t = grid.n_points, starts[0].t
     steps = {resolve_dt(s.u, model, config, config.t_end - t) for s in starts}
@@ -480,7 +480,7 @@ def integrate_batch(starts, model: ModelParams, config: SolverConfig, sink=None)
         start = starts[live[k]]
         if not done:
             return start
-        return SimulationState(t=t, u=RealField(grid, half_values_of(u_hat[k], n)),
+        return SimulationState(t=t, u=RealField(grid, values_of(u_hat[k], n)),
                                step_count=start.step_count + done,
                                min_slope_history=histories[live[k]], u_hat=u_hat[k])
 
@@ -508,7 +508,7 @@ def integrate_batch(starts, model: ModelParams, config: SolverConfig, sink=None)
         # a halting row gets its last snapshot whether or not one is due
         if sink is not None and (due or halted):
             lines = np.arange(len(live)) if due else np.fromiter(halted, int)
-            sink(t, np.asarray(live)[lines], half_values_of(u_hat[lines], n))
+            sink(t, np.asarray(live)[lines], values_of(u_hat[lines], n))
         for k, result in halted.items():
             results[live[k]] = result
         return [k for k in range(len(live)) if k not in halted]

@@ -55,7 +55,7 @@ def test_criterion_01_transform_oracle_equivalence():
         for _ in range(100):
             u = RealField(g, rng.normal(size=n))
             diff = np.abs(
-                forward_transform(u).coefficients - dft_oracle(u).coefficients
+                forward_transform(u).coefficients - dft_oracle(u)[: n // 2 + 1]
             ).max()
             worst = max(worst, diff)
             assert diff <= 1e-12

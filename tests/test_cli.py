@@ -388,19 +388,19 @@ class TestSweep:
         assert names == ["amplitude=0.1000001", "amplitude=0.1000002", "amplitude=0.1"]
         assert sorted(os.listdir(out / "sweep")) == sorted(names)
 
-    def test_summary_outcome_without_manifest(self, tmp_path):
+    def test_summary_outcome_and_point_manifests(self, tmp_path):
         out = tmp_path / "out"
         cfg_path = write_config(tmp_path / "c.json", base_config(out))
         assert main([
             "sweep", "--config", cfg_path, "--axis", "nu", "--values", "1,1.5",
-            "--set", "output.manifest=false", "--set", "solver.t_end=0.1",
+            "--set", "solver.t_end=0.1",
         ]) == 0
         with open(out / "sweep_summary.json") as fh:
             points = json.load(fh)["points"]
         for point in points:
             assert point["outcome"] == "completed"
             assert point["conserved_drift"]["mass"]["initial"] == 0.0
-            assert not os.path.exists(os.path.join(point["directory"], "manifest.json"))
+            assert os.path.exists(os.path.join(point["directory"], "manifest.json"))
 
     def test_point_failure_recorded(self, tmp_path):
         out = tmp_path / "out"

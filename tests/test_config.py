@@ -146,10 +146,13 @@ class TestValidateConfig:
 
     def test_output_section(self):
         raw = minimal_config()
-        raw["output"] = {"directory": "runs/a", "manifest": False}
-        cfg = validate_config(raw)
-        assert cfg.output.directory == "runs/a"
-        assert cfg.output.manifest is False
+        raw["output"] = {"directory": "runs/a"}
+        assert validate_config(raw).output.directory == "runs/a"
+        # every run directory receives a manifest: there is no key to skip it
+        raw["output"]["manifest"] = False
+        with pytest.raises(ConfigError, match="unknown key 'manifest'") as err:
+            validate_config(raw)
+        assert err.value.key == "output.manifest"
 
     def test_integrator_default_per_model(self):
         assert validate_config(minimal_config()).solver.integrator is Integrator.RK4
@@ -223,7 +226,6 @@ class TestValidateConfig:
         assert cfg.solver.breaking_slope_threshold == 100.0
         assert cfg.solver.tail_fraction_threshold == 1e-4
         assert cfg.solver.dt == "auto" and cfg.solver.snapshot_every is None
-        assert cfg.output.manifest is True
         assert validate_config(minimal_config(dt="auto")).solver.dt == "auto"
 
 

@@ -22,10 +22,10 @@ from fracwave import (
     sobolev_norm,
 )
 from fracwave.operators import lambda_symbol, laplacian_symbol
-from fracwave.spectral import coeffs_of, half_coeffs_of, values_of
+from fracwave.spectral import coeffs_of, values_of
 from fracwave.timestepper import _tail_fraction
 from conftest import make_grid, smooth_field
-from oracles import dft_oracle, masked_product
+from oracles import dft_oracle, full_k, full_modes, masked_product
 
 
 class TestModelParams:
@@ -174,12 +174,12 @@ class TestStructuralIdentities:
         lam_inv = lambda_symbol(g, -2.0 * nu, nu)
         ux = derivative(u).values
         u_ux = masked_product(g, u.values, ux)
-        comm = masked_product(g, u.values, values_of(lap * coeffs_of(ux))) - values_of(
-            lap * coeffs_of(u_ux)
+        comm = masked_product(g, u.values, values_of(lap * coeffs_of(ux), 64)) - values_of(
+            lap * coeffs_of(u_ux), 64
         )
-        sq_x = values_of(g._ik * g.dealias_keep * coeffs_of(u.values**2))
-        expected = -(ux + u_ux) - values_of(lam_inv * coeffs_of(comm)) + values_of(
-            lam_inv * coeffs_of(sq_x)
+        sq_x = values_of(g._ik * g.dealias_keep * coeffs_of(u.values**2), 64)
+        expected = -(ux + u_ux) - values_of(lam_inv * coeffs_of(comm), 64) + values_of(
+            lam_inv * coeffs_of(sq_x), 64
         )
         out = rhs_quasilinear_normalized(u, nu).values
         assert np.abs(out - expected).max() < 1e-11
@@ -194,7 +194,7 @@ class TestStructuralIdentities:
         )
         fch_unit = rhs_fch(u, unit).values
         quasi = rhs_quasilinear_normalized(u, 1.0).values
-        sq_x = values_of(g._ik * g.dealias_keep * coeffs_of(u.values**2))
+        sq_x = values_of(g._ik * g.dealias_keep * coeffs_of(u.values**2), 64)
         assert np.abs(quasi - (fch_unit + sq_x)).max() < 1e-11
 
 
@@ -227,16 +227,16 @@ class TestConservedFunctionals:
         g = make_grid(64)
         n = g.n_points
         u = RealField(g, 0.3 + 0.2 * np.cos(n // 2 * g.x) + smooth_field(g, rng).values)
-        c = dft_oracle(u).coefficients
+        c = dft_oracle(u)
         assert abs(c[0]) > 0.1 and abs(c[n // 2]) > 0.1
         sq = np.abs(c) ** 2
         assert momentum(u) == pytest.approx(0.5 * g.length * sq.sum(), rel=1e-13)
         p = make_params("fbbm", 1.5)
-        weight = 1.0 + 1.25 * np.abs(g.k) ** 3.0
+        weight = 1.0 + 1.25 * np.abs(full_k(g)) ** 3.0
         assert fbbm_energy(u, p) == pytest.approx(0.5 * g.length * (weight * sq).sum(), rel=1e-13)
-        tail = np.abs(g.modes) > n // 3 / 2
+        tail = np.abs(full_modes(g)) > n // 3 / 2
         assert sq[tail].sum() > 0.0
-        assert _tail_fraction(g, half_coeffs_of(u.values)) == pytest.approx(
+        assert _tail_fraction(g, coeffs_of(u.values)) == pytest.approx(
             sq[tail].sum() / sq.sum(), rel=1e-13)
 
     def test_fbbm_energy_matches_quadrature(self, rng):
@@ -245,7 +245,7 @@ class TestConservedFunctionals:
         p = make_params("fbbm", 1.5)
         u = smooth_field(g, rng)
         half_lap = values_of(
-            np.sqrt(laplacian_symbol(g, p.nu.value)) * coeffs_of(u.values)
+            np.sqrt(laplacian_symbol(g, p.nu.value)) * coeffs_of(u.values), 128
         )
         quad = 0.5 * g.spacing * np.sum(u.values**2 + 1.25 * half_lap**2)
         assert fbbm_energy(u, p) == pytest.approx(quad, rel=1e-12)

@@ -19,7 +19,7 @@ from fracwave import (
     sobolev_norm,
 )
 from fracwave.operators import OperatorPlan
-from fracwave.spectral import half_coeffs_of
+from fracwave.spectral import coeffs_of
 from conftest import make_grid, smooth_field
 import oracles
 
@@ -183,7 +183,7 @@ class TestQuasilinearPieces:
     def test_a_without_its_linear_part(self, rng):
         g = make_grid(64)
         plan = OperatorPlan(g, 1.5)
-        u_hat, z_hat = (half_coeffs_of(smooth_field(g, rng).values) for _ in range(2))
+        u_hat, z_hat = (coeffs_of(smooth_field(g, rng).values) for _ in range(2))
         full, part = plan.apply_A(u_hat, z_hat), plan.apply_A(u_hat, z_hat, linear=False)
         assert np.abs(full - (part + plan._ik * z_hat)).max() < 1e-13 * np.abs(full).max()
         assert not plan.apply_A(np.zeros_like(u_hat), z_hat, linear=False).any()
@@ -212,7 +212,7 @@ class TestOperatorPlan:
         # the products in A and f square 1e200; Lam^60 multiplies mode 1 by 2^30
         g = make_grid(32)
         plan, u = OperatorPlan(g, 1.0), 1e200 * np.sin(g.x)
-        u_hat = half_coeffs_of(u)
+        u_hat = coeffs_of(u)
         args = {"lambda_pow": (1e100 * u_hat, 60.0), "commutator": (plan.lap, u, u_hat),
                 "apply_A": (u_hat, u_hat), "apply_f": (u_hat,)}[method]
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError):

@@ -15,7 +15,7 @@ import fracwave
 # tests/oracles.py)
 PUBLIC = (
     "BlowUpError", "CheckpointError", "ConfigError", "FracwaveError", "GridMismatchError",
-    "ParameterError", "SymbolError", "SymmetryError",
+    "ParameterError", "SymbolError",
     "Grid", "RealField", "SpectralField", "apply_symbol", "dealias", "derivative",
     "forward_transform", "inner_product", "inverse_transform", "sobolev_norm",
     "FractionalOrder", "apply_A", "apply_B", "apply_f", "commutator_apply",

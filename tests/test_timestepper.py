@@ -36,7 +36,6 @@ from fracwave import (
     make_params,
     rk4_step,
 )
-from fracwave.operators import laplacian_symbol
 from fracwave.timestepper import (
     _checked,
     _fit_breaking_time,
@@ -44,9 +43,9 @@ from fracwave.timestepper import (
     _tail_fraction,
     integrate_batch,
 )
-from fracwave.spectral import coeffs_of, half_coeffs_of, half_values_of, values_of
+from fracwave.spectral import coeffs_of, values_of
 from conftest import TWO_PI, make_grid, smooth_field
-from oracles import masked_product
+from oracles import full_coeffs_of, full_k, full_values_of, masked_product
 
 
 def advection_params():
@@ -86,9 +85,9 @@ class TestRK4Step:
     def test_zero_rhs(self):
         g = make_grid(16)
         zero = make_params("linearized", 1.0, Coefficients(c_adv=0.0, c_nl=0.0))
-        u_hat = half_coeffs_of(np.sin(g.x))
+        u_hat = coeffs_of(np.sin(g.x))
         start = SimulationState(
-            t=0.5, u=RealField(g, half_values_of(u_hat, 16)), u_hat=u_hat
+            t=0.5, u=RealField(g, values_of(u_hat, 16)), u_hat=u_hat
         )
         res = integrate(start, zero, SolverConfig(t_end=0.75, dt=0.25))
         assert res.state.t == 0.75
@@ -101,10 +100,10 @@ class TestRK4Step:
         u0 = np.sin(g.x)
         dt = TWO_PI / 1000
         plan = StepPlan(g, advection_params(), dt)
-        u_hat = half_coeffs_of(u0)
+        u_hat = coeffs_of(u0)
         for i in range(1000):
             u_hat = plan.step(u_hat, i * dt)
-        assert np.abs(half_values_of(u_hat, 32) - u0).max() < 1e-8
+        assert np.abs(values_of(u_hat, 32) - u0).max() < 1e-8
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_carries_stage_and_time(self):
@@ -112,7 +111,7 @@ class TestRK4Step:
         fast = make_params("linearized", 1.0, Coefficients(c_adv=1e200, c_nl=0.0))
         plan = StepPlan(g, fast, 1e200)  # the second stage's input overflows
         with pytest.raises(BlowUpError) as err:
-            plan.step(half_coeffs_of(np.sin(g.x)), 1.25)
+            plan.step(coeffs_of(np.sin(g.x)), 1.25)
         assert err.value.t == 1.25
         assert err.value.stage == 2
 
@@ -130,7 +129,7 @@ class TestIFRK4Step:
     def test_zero_field_stays_zero(self):
         g = make_grid(32)
         plan = StepPlan(g, make_params("fkdv", 1.0), 0.1, Integrator.IFRK4)
-        out = plan.step(half_coeffs_of(np.zeros(32)), 0.0)
+        out = plan.step(coeffs_of(np.zeros(32)), 0.0)
         assert np.all(out == 0.0)
 
     def test_exact_on_linear_flow(self):
@@ -140,12 +139,12 @@ class TestIFRK4Step:
         k = 3
         dt = 0.5  # huge step; exactness does not depend on dt
         plan = StepPlan(g, p, dt, Integrator.IFRK4)
-        u_hat = half_coeffs_of(np.sin(k * g.x))
+        u_hat = coeffs_of(np.sin(k * g.x))
         for i in range(4):
             u_hat = plan.step(u_hat, i * dt)
         c = dispersion_speed(float(k), p)
         expected = np.sin(k * (g.x - c * 4 * dt))
-        assert np.abs(half_values_of(u_hat, 64) - expected).max() < 1e-12
+        assert np.abs(values_of(u_hat, 64) - expected).max() < 1e-12
 
     def test_small_mode_phase_speed(self):
         g = make_grid(64)
@@ -192,21 +191,24 @@ def field_rk4(field: RealField, p, dt):
 def field_ifrk4(u: RealField, p, dt):
     """fKdV integrating-factor RK4 on the full spectrum."""
     g, c = u.grid, p.coefficients
-    lin = -g._ik * (c.c_adv + c.c_disp * laplacian_symbol(g, p.nu.value))
+    k = full_k(g)
+    ik = 1j * k
+    ik[g.n_points // 2] = 0.0
+    lin = -ik * (c.c_adv + c.c_disp * np.abs(k) ** (2.0 * p.nu.value))
     e_half = np.exp(0.5 * dt * lin)
     e_full = e_half * e_half
 
     def f(u_hat):
-        v = RealField(g, values_of(u_hat))
-        return -c.c_nl * coeffs_of(masked_product(g, v.values, derivative(v).values))
+        v = RealField(g, full_values_of(u_hat))
+        return -c.c_nl * full_coeffs_of(masked_product(g, v.values, derivative(v).values))
 
-    u_hat = coeffs_of(u.values)
+    u_hat = full_coeffs_of(u.values)
     k1 = f(u_hat)
     k2 = f(e_half * (u_hat + 0.5 * dt * k1))
     k3 = f(e_half * u_hat + 0.5 * dt * k2)
     k4 = f(e_full * u_hat + dt * e_half * k3)
     new = e_full * u_hat + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-    return values_of(new)
+    return full_values_of(new)
 
 
 class TestStepPlan:
@@ -224,7 +226,7 @@ class TestStepPlan:
         reference = field_rk4 if integrator is Integrator.RK4 else field_ifrk4
         expected = reference(u0, p, dt)
         plan = StepPlan(g, p, dt, integrator)
-        got = half_values_of(plan.step(half_coeffs_of(u0.values), 0.0), n)
+        got = values_of(plan.step(coeffs_of(u0.values), 0.0), n)
         assert np.abs(got - expected).max() < 1e-13
 
     @pytest.mark.parametrize(
@@ -234,7 +236,7 @@ class TestStepPlan:
     def test_step_is_the_integrators_kernel(self, kind, integrator, kernel, rng):
         g = make_grid(64)
         plan = StepPlan(g, make_params(kind, 1.0), 1e-3, integrator)
-        u_hat = half_coeffs_of(smooth_field(g, rng, band=8, amplitude=0.5).values)
+        u_hat = coeffs_of(smooth_field(g, rng, band=8, amplitude=0.5).values)
         assert np.array_equal(plan.step(u_hat, 0.0), kernel(plan, u_hat, 0.0))
 
 
@@ -308,7 +310,7 @@ class TestStageScan:
         g = make_grid(32)
         plan = StepPlan(g, make_params(kind, 1.0), 1.0, integrator)
         fields = [smooth_field(g, rng, band=4, amplitude=0.05).values for _ in range(rows or 1)]
-        u_hat = half_coeffs_of(np.stack(fields) if rows else fields[0])
+        u_hat = coeffs_of(np.stack(fields) if rows else fields[0])
         clean, recording = plan.rhs, _Recording(plan.rhs)
         plan.rhs = recording
         kernel(plan, u_hat, 0.5)
@@ -333,7 +335,7 @@ class TestStageScan:
     def test_given_stage_one_is_the_same_step(self, kind, integrator, kernel, rng):
         g = make_grid(64)
         plan = StepPlan(g, make_params(kind, 1.0), 1e-3, integrator)
-        u_hat = half_coeffs_of(np.stack(
+        u_hat = coeffs_of(np.stack(
             [smooth_field(g, rng, band=8, amplitude=0.5).values for _ in range(3)]))
         k1, slopes = plan.rhs.with_slope(u_hat)
         assert np.array_equal(plan.step(u_hat, 0.0, k1), kernel(plan, u_hat, 0.0))
@@ -615,9 +617,9 @@ def _hand_loop(u0, p, cfg):
     """(outcome, slope history, breaking report) of ``integrate(u0, p, cfg)``
     taken by hand: ``StepPlan.step`` and a slope transform after each step."""
     g = u0.grid
-    u_hat = half_coeffs_of(u0.values)
+    u_hat = coeffs_of(u0.values)
     if cfg.dealias:
-        u_hat = g.dealias_keep[: g.n_points // 2 + 1] * u_hat
+        u_hat = g.dealias_keep * u_hat
     plan = StepPlan(g, p, cfg.dt, cfg.integrator, cfg.dealias)
     t, report = 0.0, None
     history = [(t, float(_slope_stats(g, u_hat)[0]))]
@@ -630,7 +632,7 @@ def _hand_loop(u0, p, cfg):
         slope = float(_slope_stats(g, u_hat)[0])
         history.append((t, slope))
         if slope <= -cfg.breaking_slope_threshold and report is None:
-            state = SimulationState(t=t, u=RealField(g, half_values_of(u_hat, g.n_points)),
+            state = SimulationState(t=t, u=RealField(g, values_of(u_hat, g.n_points)),
                                     min_slope_history=history, u_hat=u_hat)
             report = detect_breaking(state, cfg)
             if report is not None and cfg.on_breaking == "halt":
@@ -655,6 +657,32 @@ class TestConservedEnergyProperty:
             return abs(fbbm_energy(u, p) - fbbm_energy(u0, p))
 
         assert drift(0.02) >= 8.0 * drift(0.01) > 0.0
+
+
+class TestTranslationProperty:
+    # a shift by m grid points multiplies each coefficient by exp(-i k m dx),
+    # which commutes with every symbol of the form and with the pointwise
+    # products, so a shifted datum steps to the shifted run up to round-off:
+    # a few eps of max|u| per step, bounded by 10 eps per step
+    @settings(max_examples=20, deadline=None)
+    @given(model=st.sampled_from([("fch", Integrator.RK4), ("fbbm", Integrator.RK4),
+                                  ("fkdv", Integrator.IFRK4)]),
+           k=st.sampled_from([1, 2]), amplitude=st.floats(0.2, 0.35),
+           phase=st.floats(0.0, 2.0 * np.pi), shift=st.integers(1, 63))
+    def test_grid_shift_commutes_with_stepping(self, model, k, amplitude, phase, shift):
+        g = make_grid(64)
+        kind, integrator = model
+        steps, cfg = 50, SolverConfig(t_end=0.5, dt=0.01, integrator=integrator)
+        u0 = amplitude * np.sin(k * g.x + phase)
+
+        def run(values):
+            res = integrate(RealField(g, values), make_params(kind, 1.0), cfg)
+            assert res.outcome is Outcome.COMPLETED and res.state.step_count == steps
+            return res.state.u.values
+
+        base = run(u0)
+        bound = 10 * steps * np.finfo(float).eps * np.abs(base).max()
+        assert np.abs(run(np.roll(u0, shift)) - np.roll(base, shift)).max() <= bound
 
 
 class TestSlopeFromStageOne:
