@@ -34,7 +34,7 @@ _EXPORTS = {
         "rhs_fbbm", "rhs_fch", "rhs_fkdv", "rhs_linearized", "rhs_quasilinear_normalized",
     ), "models"),
     **dict.fromkeys((
-        "AUTO", "BreakingReport", "Integrator", "Outcome", "SimulationResult",
+        "AUTO", "BreakingReport", "Outcome", "SimulationResult",
         "SimulationState", "SolverConfig", "StepPlan", "auto_dt", "checkpoint_read",
         "checkpoint_write", "detect_breaking", "ifrk4_step", "integrate", "rk4_step",
     ), "timestepper"),

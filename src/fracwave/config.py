@@ -28,7 +28,7 @@ from .errors import BlowUpError, ConfigError, ParameterError
 from .models import Coefficients, ModelKind, ModelParams, default_coefficients, make_params
 from .operators import FractionalOrder
 from .spectral import Grid, RealField
-from .timestepper import AUTO, Integrator, SolverConfig
+from .timestepper import AUTO, SolverConfig, _scheme
 
 # Each key table maps a section's allowed keys to their JSON kind.  Only
 # keys present in the file are passed on, so every default lives in the
@@ -194,10 +194,14 @@ def validate_config(cfg: dict, allow_low_nu: bool = False) -> RunConfig:
             f"'solver.dt' must be a number or 'auto', got {dt!r}", key="solver.dt"
         )
     options = _read_keys(solver_sec, _SOLVER_KEYS, "solver", required=("t_end",))
-    if model.kind is ModelKind.FKDV:
-        # fKdV's dispersive phase grows like |k|^(2 nu + 1): only the
-        # integrating factor keeps its auto dt advective
-        options.setdefault("integrator", Integrator.IFRK4)
+    # the model decides its scheme; the key may only name that one
+    scheme, own = options.pop("integrator", None), _scheme(model)
+    if scheme is not None and scheme.strip().lower() != own:
+        raise ConfigError(
+            f"solver.integrator {scheme!r} is not the scheme of {model.kind.value}, "
+            f"which is stepped with {own}",
+            key="solver.integrator",
+        )
     try:
         solver = SolverConfig(**options)
     except ParameterError as err:

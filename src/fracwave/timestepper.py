@@ -1,11 +1,11 @@
 """Time integration, wave-breaking detection, and checkpointing.
 
 Every run steps through one ``StepPlan``, built once per (grid, model,
-dt, integrator, dealias).  The plan holds the half-spectrum evaluator of
-the model (``models.make_rhs``) and, for IFRK4, the integrating-factor
-exponentials; the state stays a dealiased half spectrum for the whole run,
-and grid values are synthesized only for the snapshot sink, a breaking
-report and the returned state.
+dt, dealias).  The plan holds the half-spectrum evaluator of the model
+(``models.make_rhs``) and, for fKdV, the integrating-factor exponentials;
+the state stays a dealiased half spectrum for the whole run, and grid
+values are synthesized only for the snapshot sink, a breaking report and
+the returned state.
 
 The plan, its steps and their finiteness checks take one half spectrum
 (N/2+1,) or a batch (M, N/2+1) alike.  ``integrate_batch`` steps M
@@ -19,10 +19,11 @@ order, so the error still names the first non-finite stage.  The per-step
 breaking slope, min u_x, is read off the next step's stage 1, whose
 inverse transform already holds u_x.
 
-Two integrators step the plan's state.  Classical RK4 (``rk4_step``)
-suits fCH and fBBM, whose linearized phase speed stays bounded as k grows
-(it tends to c_disp/c_evo), so the stiffness is only advective.  fKdV has
-no evolution-side smoothing and its dispersive phase grows like
+The model decides which of two schemes steps the plan's state
+(``_scheme``); no option chooses it.  Classical RK4 (``rk4_step``) suits
+fCH and fBBM, whose linearized phase speed stays bounded as k grows (it
+tends to c_disp/c_evo), so the stiffness is only advective.  fKdV has no
+evolution-side smoothing and its dispersive phase grows like
 |k|^(2 nu + 1); the integrating-factor RK4 (``ifrk4_step``) removes that
 linear part exactly and steps only the nonlinearity.  RK4 is that scheme
 with an empty linear part; it is written out without the unit factors.
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .atomic import write_atomic
-from .errors import BlowUpError, CheckpointError, NamedChoice, ParameterError
+from .errors import BlowUpError, CheckpointError, ParameterError
 from .models import ModelKind, ModelParams, dispersion_speed, make_rhs
 from .spectral import (
     Grid,
@@ -59,15 +60,9 @@ from .spectral import (
 AUTO = "auto"
 
 
-class Integrator(NamedChoice, what="integrator"):
-    RK4 = "rk4"
-    IFRK4 = "ifrk4"
-
-
 @dataclass
 class SolverConfig:
     t_end: float
-    integrator: Integrator = Integrator.RK4
     dt: float | str = AUTO
     cfl: float = 0.5
     snapshot_every: float | None = None
@@ -77,8 +72,6 @@ class SolverConfig:
     on_breaking: str = "halt"  # or "warn"
 
     def __post_init__(self):
-        if isinstance(self.integrator, str):
-            self.integrator = Integrator.from_string(self.integrator)
         # a NaN threshold would compare False everywhere and silently
         # disable its check, so non-finite numbers are refused outright
         for key in ("t_end", "dt", "cfl", "snapshot_every",
@@ -193,34 +186,27 @@ def _checked_update(u_hat: np.ndarray, t: float, stages) -> np.ndarray:
     return u_hat
 
 
-def _require_fkdv_for_if(model: ModelParams, integrator: Integrator) -> None:
-    if integrator is Integrator.IFRK4 and model.kind is not ModelKind.FKDV:
-        raise ParameterError("IFRK4 treats the fKdV linear symbol; use rk4 otherwise")
+def _scheme(model: ModelParams) -> str:
+    """The scheme that steps ``model``: "ifrk4" for fKdV, whose dispersive
+    phase is unbounded in k, "rk4" for the kinds that keep it bounded."""
+    return "ifrk4" if model.kind is ModelKind.FKDV else "rk4"
 
 
 class StepPlan:
     """Everything one run's steps need, built once per (grid, model, dt,
-    integrator, dealias).
+    dealias).
 
     The state is the half spectrum ``u_hat`` (see ``models.SpectralRHS``),
-    kept dealiased by construction when ``dealias`` is set.  With IFRK4
-    the fKdV linear symbol Lin is left out of ``rhs`` and the factors
-    exp(dt/2 Lin) and exp(dt Lin) are precomputed; with RK4 ``rhs`` is
-    the whole right-hand side.
+    kept dealiased by construction when ``dealias`` is set.  For fKdV
+    (IFRK4) the linear symbol Lin is left out of ``rhs`` and the factors
+    exp(dt/2 Lin) and exp(dt Lin) are precomputed; for the other kinds
+    (RK4) ``rhs`` is the whole right-hand side.
     """
 
-    def __init__(
-        self,
-        grid: Grid,
-        model: ModelParams,
-        dt: float,
-        integrator: Integrator = Integrator.RK4,
-        dealias: bool = True,
-    ):
-        _require_fkdv_for_if(model, integrator)
+    def __init__(self, grid: Grid, model: ModelParams, dt: float, *, dealias: bool = True):
         if not (np.isfinite(dt) and dt > 0):
             raise ParameterError(f"dt must be positive, got {dt}")
-        exact_linear = integrator is Integrator.IFRK4
+        exact_linear = _scheme(model) == "ifrk4"
         self.dt = dt
         self.rhs = make_rhs(grid, model, dealias, linear=not exact_linear)
         if exact_linear:
@@ -264,18 +250,16 @@ def ifrk4_step(plan: StepPlan, u_hat: np.ndarray, t: float,
     return _checked_update(new, t, (k1, k2, k3, k4))
 
 
-def auto_dt(
-    u: RealField, model: ModelParams, cfl: float, integrator: Integrator = Integrator.RK4
-) -> float:
+def auto_dt(u: RealField, model: ModelParams, cfl: float) -> float:
     """CFL-style step size: cfl * dx / v_max on the grid of ``u``.
 
     v_max combines the fastest linear phase speed on the grid with the
-    amplitude of u (nonlinear advection).  When fKdV is stepped with the
-    integrating factor, the exactly-handled linear symbol is excluded and
-    only advection remains.
+    amplitude of u (nonlinear advection).  fKdV is stepped with the
+    integrating factor, so its exactly-handled linear symbol is excluded
+    and only advection remains.
     """
     grid = u.grid
-    if model.kind is ModelKind.FKDV and integrator is Integrator.IFRK4:
+    if _scheme(model) == "ifrk4":
         v_lin = abs(model.coefficients.c_adv)
     else:
         v_lin = float(np.abs(dispersion_speed(grid.k, model)).max())
@@ -354,7 +338,7 @@ def resolve_dt(
     if span <= 0:
         return 0.0, 0
     if config.dt == AUTO:
-        estimate = auto_dt(u0, model, config.cfl, config.integrator)
+        estimate = auto_dt(u0, model, config.cfl)
         n = _step_count(span / estimate - 1e-12)
         return span / n, n
     return config.dt, _step_count(span / config.dt - 1e-9)
@@ -437,7 +421,6 @@ def integrate_batch(starts, model: ModelParams, config: SolverConfig, sink=None)
     goes through ``detect_breaking`` alone until it reports, and halts
     alone.
     """
-    _require_fkdv_for_if(model, config.integrator)
     if not starts:
         raise ParameterError("integrate_batch needs at least one row")
     # each row appends to its own copy of the start's slope history, so
@@ -458,7 +441,7 @@ def integrate_batch(starts, model: ModelParams, config: SolverConfig, sink=None)
     if len(steps) > 1:
         raise ParameterError("batched rows resolve to different time steps; set dt")
     ((dt, n_steps),) = steps
-    plan = StepPlan(grid, model, dt, config.integrator, config.dealias) if n_steps else None
+    plan = StepPlan(grid, model, dt, dealias=config.dealias) if n_steps else None
     stride = _snapshot_stride(config, dt)
     # snapshots fall on the trajectory's own step grid, so a resumed run
     # takes them at the times of the straight run
@@ -569,7 +552,9 @@ def integrate_batch(starts, model: ModelParams, config: SolverConfig, sink=None)
 #   before it
 #
 # Version 2 added u_hat, the stepped half spectrum: resuming from it keeps
-# the trajectory bit-identical.  Version 1 files are refused.
+# the trajectory bit-identical.  Version 1 files are refused.  Only a state
+# that carries its stepped spectrum is written, and a file holding a
+# non-finite number is refused on reading.
 
 _MAGIC = b"FWCK"
 _VERSION = 2
@@ -577,6 +562,10 @@ _HEADER = struct.Struct("<4sIIIddQQ")
 
 
 def checkpoint_write(state: SimulationState, path) -> None:
+    if state.u_hat is None:
+        # the transform of the values is not what a run steps (that is
+        # dealiased first), so a resume from it would leave the trajectory
+        raise ParameterError("a checkpoint needs the state's stepped spectrum u_hat")
     grid = state.u.grid
     hist = np.asarray(state.min_slope_history, dtype=np.float64).reshape(-1, 2)
     payload = _HEADER.pack(
@@ -591,7 +580,7 @@ def checkpoint_write(state: SimulationState, path) -> None:
     )
     payload += hist.astype("<f8").tobytes()
     payload += state.u.values.astype("<f8").tobytes()
-    payload += _spectrum_of(state).astype("<c16").tobytes()
+    payload += state.u_hat.astype("<c16").tobytes()
     payload += struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
     write_atomic(path, payload)
 
@@ -626,6 +615,10 @@ def checkpoint_read(path) -> SimulationState:
     values = np.frombuffer(body, dtype="<f8", count=n, offset=offset)
     offset += 8 * n
     u_hat = np.frombuffer(body, dtype="<c16", count=half, offset=offset).astype(np.complex128)
+    for what, numbers in (("t", t), ("slope history", hist), ("values", values),
+                          ("spectrum", u_hat)):
+        if not np.isfinite(numbers).all():
+            raise CheckpointError(f"checkpoint {path} holds a non-finite number in its {what}")
     grid = Grid(length=length, n_points=n)
     history = [(float(a), float(b)) for a, b in hist.reshape(-1, 2)]
     return SimulationState(

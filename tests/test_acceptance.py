@@ -12,7 +12,6 @@ import pytest
 from fracwave import (
     AUTO,
     Coefficients,
-    Integrator,
     Outcome,
     RealField,
     SampleSpec,
@@ -129,8 +128,7 @@ def test_criterion_04_dispersion_reproduction():
 
     # fKdV nu=1, k=2 mode: measured speed = -1
     coll = Collect()
-    cfg = SolverConfig(t_end=1.0, dt=1.0 / 64, integrator=Integrator.IFRK4,
-                       snapshot_every=0.05)
+    cfg = SolverConfig(t_end=1.0, dt=1.0 / 64, snapshot_every=0.05)
     res = integrate(RealField(g, eps * np.sin(2 * g.x)), make_params("fkdv", 1.0), cfg, sink=coll)
     assert res.outcome is Outcome.COMPLETED
     c_fkdv = measure_phase_speed(coll.t, coll.u, 2)
@@ -158,7 +156,7 @@ def test_criterion_05_conservation():
 
     u0 = RealField(g, 0.1 * np.cos(g.x))
     res = integrate(u0, make_params("fkdv", 1.0),
-                    SolverConfig(t_end=10.0, dt=AUTO, cfl=0.5, integrator=Integrator.IFRK4))
+                    SolverConfig(t_end=10.0, dt=AUTO, cfl=0.5))
     assert res.outcome is Outcome.COMPLETED
     mom_drift = abs(momentum(res.state.u) - momentum(u0)) / abs(momentum(u0))
     assert mom_drift <= 1e-8
@@ -186,7 +184,7 @@ def test_criterion_06_temporal_order():
 
     res_if = convergence_study(
         "temporal", make_params("fkdv", 1.0),
-        SolverConfig(t_end=1.0, dt=0.02, integrator=Integrator.IFRK4),
+        SolverConfig(t_end=1.0, dt=0.02),
         initial, n_points=64,
     )
     assert res_if.fitted_order == pytest.approx(4.0, abs=0.2)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from fracwave import Grid, RealField, dispersion_speed, make_params, measure_phase_speed
 from fracwave.cli import _SnapshotWriter, main
 from fracwave.config import read_snapshot, write_snapshot
+from conftest import CHECKPOINT_FIELDS, poison_checkpoint
 
 
 def write_config(path, cfg):
@@ -76,6 +77,22 @@ class TestRun:
         assert main(["run", "--config", cfg_path]) == 0
         manifest = load_manifest(out)
         assert manifest["measured_phase_speed"] == pytest.approx(7.0 / 9.0, abs=1e-6)
+
+    def test_fkdv_is_stepped_with_its_own_scheme(self, tmp_path, capsys):
+        # no integrator key: IFRK4's advective auto dt takes 2 steps, where
+        # an RK4 bound on the |k|^3 phase took 130
+        cfg = base_config(tmp_path / "out", model={"kind": "fkdv", "nu": 1.0}, grid={"N": 32},
+                          initial={"kind": "mode", "k": 1, "amplitude": 0.2},
+                          solver={"t_end": 0.1, "dt": "auto"})
+        cfg_path = write_config(tmp_path / "c.json", cfg)
+        assert main(["run", "--config", cfg_path]) == 0
+        assert load_manifest(tmp_path / "out")["steps"] == 2
+        capsys.readouterr()
+        assert main(["run", "--config", cfg_path, "--set", "solver.integrator=rk4",
+                     "--set", f"output.directory={tmp_path / 'rk4'}"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "solver.integrator" in lines[0]
+        assert not (tmp_path / "rk4").exists()
 
     def test_phase_speed_equals_fit_on_reloaded_snapshots(self, tmp_path):
         cfg = base_config(
@@ -720,6 +737,23 @@ class TestResume:
         assert len(lines) == 1
         assert lines[0].startswith(f"error: cannot read checkpoint {ck}")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("what", CHECKPOINT_FIELDS)
+    def test_nonfinite_checkpoint_exit_1(self, tmp_path, capsys, what):
+        # a checkpoint is outside input: a NaN in it is not the run's blow-up
+        cfg = base_config(tmp_path / "a", initial={"kind": "mode", "k": 1, "amplitude": 0.2},
+                          solver={"t_end": 0.05, "dt": 0.01})
+        cfg_path = write_config(tmp_path / "c.json", cfg)
+        assert main(["run", "--config", cfg_path]) == 0
+        ck = tmp_path / "a" / "checkpoint.fwck"
+        poison_checkpoint(ck, what, float("nan"))
+        capsys.readouterr()
+        assert main(["resume", "--config", cfg_path, "--checkpoint", str(ck),
+                     "--set", "solver.t_end=0.1",
+                     "--set", f"output.directory={tmp_path / 'b'}"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: checkpoint {ck} holds a non-finite number in its {what}"]
+        assert not (tmp_path / "b").exists()
 
     def test_resume_from_t0_matches_fresh(self, tmp_path):
         cfg = base_config(

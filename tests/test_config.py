@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracwave import ConfigError, Integrator, ModelKind, RealField, atomic
+from fracwave import ConfigError, ModelKind, RealField, atomic
 from fracwave.config import (
     apply_overrides,
     build_initial,
@@ -18,6 +18,7 @@ from fracwave.config import (
     write_manifest,
     write_snapshot,
 )
+from fracwave.spectral import coeffs_of
 from fracwave.timestepper import SimulationState, checkpoint_write, resolve_dt
 from conftest import TWO_PI, make_grid, smooth_field
 
@@ -155,18 +156,37 @@ class TestValidateConfig:
         assert err.value.key == "output.manifest"
 
     def test_integrator_default_per_model(self):
-        assert validate_config(minimal_config()).solver.integrator is Integrator.RK4
+        # fKdV needs no integrator key: its auto dt is advective, cfl * dx /
+        # max(c_adv, max|u|) snapped down onto t_end, not the |k|^3
+        # dispersive bound an RK4 step needs
         raw = minimal_config()
         raw["model"]["kind"] = "fkdv"
         raw["initial"] = {"kind": "mode", "k": 1, "amplitude": 0.2}
         cfg = validate_config(raw)
-        assert cfg.solver.integrator is Integrator.IFRK4
-        # the auto dt is advective, cfl * dx / max(c_adv, max|u|) snapped
-        # down onto t_end, not the |k|^3 dispersive bound an RK4 step needs
         u0 = build_initial(cfg.initial, cfg.grid)
         dt, _ = resolve_dt(u0, cfg.model, cfg.solver, cfg.solver.t_end)
         advective = 0.5 * cfg.grid.spacing
         assert 0.9 * advective < dt <= advective
+
+    @pytest.mark.parametrize("kind,value", [
+        ("fch", "rk4"), ("fbbm", "RK4"), ("linearized", " rk4"), ("fkdv", " IFRK4 "),
+    ])
+    def test_integrator_key_may_name_the_models_scheme(self, kind, value):
+        raw = minimal_config(integrator=value)
+        raw["model"]["kind"] = kind
+        bare = minimal_config()
+        bare["model"]["kind"] = kind
+        assert validate_config(raw).solver == validate_config(bare).solver
+
+    @pytest.mark.parametrize("kind,value", [
+        ("fkdv", "rk4"), ("fch", "ifrk4"), ("fbbm", "IFRK4"), ("fch", "if-rk4"), ("fch", ""),
+    ])
+    def test_integrator_key_naming_another_scheme_refused(self, kind, value):
+        raw = minimal_config(integrator=value)
+        raw["model"]["kind"] = kind
+        with pytest.raises(ConfigError, match="solver.integrator") as err:
+            validate_config(raw)
+        assert err.value.key == "solver.integrator"
 
     @pytest.mark.parametrize("key", ["snapshot_every", "breaking_slope_threshold", "cfl"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -426,7 +446,8 @@ class TestAtomicWrites:
             if writer == "manifest":
                 write_manifest(path, {"i": i, "series": list(range(50))})
             elif writer == "checkpoint":
-                checkpoint_write(SimulationState(t=float(i), u=RealField(g, np.full(16, i))), path)
+                u = RealField(g, np.full(16, i))
+                checkpoint_write(SimulationState(t=float(i), u=u, u_hat=coeffs_of(u.values)), path)
             else:
                 write_snapshot(path, RealField(make_grid(8194), np.full(8194, float(i))))
 

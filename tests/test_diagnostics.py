@@ -37,7 +37,7 @@ from fracwave.diagnostics import (
 from fracwave.models import ModelKind
 from fracwave.operators import lambda_pow
 from fracwave.spectral import require_finite
-from fracwave.timestepper import Integrator, Outcome, resolve_dt
+from fracwave.timestepper import Outcome, resolve_dt
 from conftest import make_grid
 from oracles import masked_product
 
@@ -504,7 +504,7 @@ class TestConvergenceStudy:
         assert errors[1] < errors[0]
 
     def test_kind_strings(self):
-        # every member of the four named choices, by value, name and alias,
+        # every member of the three named choices, by value, name and alias,
         # in any case and with blanks around; one bad name each
         spellings = {
             ModelKind.FCH: ["fch", " FCH "],
@@ -512,8 +512,6 @@ class TestConvergenceStudy:
             ModelKind.FBBM: ["fbbm"],
             ModelKind.LINEARIZED_FCH:
                 ["linearized", "linearized_fch", "linearized-fch", "Linearized-FCH"],
-            Integrator.RK4: ["rk4", " RK4"],
-            Integrator.IFRK4: ["ifrk4", "IFRK4 "],
             LipschitzKind.A_LIP: ["a-lip", "a_lip", "A-LIP"],
             LipschitzKind.B_BOUND: ["b-bound", "b_bound"],
             LipschitzKind.B_LIP: ["b-lip", "B_Lip"],
@@ -523,13 +521,12 @@ class TestConvergenceStudy:
             StudyKind.TEMPORAL: ["temporal", " TEMPORAL"],
             StudyKind.BOX_SIZE: ["box-size", "box_size", "box", "BOX"],
         }
-        for kind in (ModelKind, Integrator, LipschitzKind, StudyKind):
+        for kind in (ModelKind, LipschitzKind, StudyKind):
             assert set(kind) <= set(spellings)
         for member, texts in spellings.items():
             for text in texts:
                 assert type(member).from_string(text) is member
         for kind, text, what in [(ModelKind, "ch", "model kind"),
-                                 (Integrator, "if-rk4", "integrator"),
                                  (LipschitzKind, "a-lipx", "Lipschitz probe"),
                                  (StudyKind, "banana", "study kind")]:
             with pytest.raises(ParameterError, match=f"unknown {what} '{text}'"):

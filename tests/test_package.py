@@ -23,7 +23,7 @@ PUBLIC = (
     "Coefficients", "ModelKind", "ModelParams", "default_coefficients", "dispersion_speed",
     "fbbm_energy", "make_params", "make_rhs", "mass", "momentum", "rhs_fbbm", "rhs_fch",
     "rhs_fkdv", "rhs_linearized", "rhs_quasilinear_normalized",
-    "AUTO", "BreakingReport", "Integrator", "Outcome", "SimulationResult", "SimulationState",
+    "AUTO", "BreakingReport", "Outcome", "SimulationResult", "SimulationState",
     "SolverConfig", "StepPlan", "auto_dt", "checkpoint_read", "checkpoint_write",
     "detect_breaking", "ifrk4_step", "integrate", "rk4_step",
     "DependenceReport", "DiagnosticsReport", "LipschitzKind", "SampleSpec", "StudyKind",
