@@ -29,7 +29,8 @@ def write_atomic(path, data: bytes) -> None:
         fh.write(data)
 
 
-def write_manifest(path, manifest: dict) -> None:
+def write_manifest(path, manifest: dict, allow_nan: bool = True) -> None:
     """Write a JSON document (run manifest, sweep summary, diagnose report)
-    atomically."""
-    write_atomic(path, (json.dumps(manifest, indent=2) + "\n").encode())
+    atomically; with ``allow_nan=False`` a NaN or infinity in it is a
+    ValueError, not a non-standard token."""
+    write_atomic(path, (json.dumps(manifest, indent=2, allow_nan=allow_nan) + "\n").encode())

@@ -121,8 +121,8 @@ _MASS_ROUNDOFF = 1e-12
 
 def _drift(series, floor=0.0):
     """Initial, final and drift of a conserved series.  The drifts are null
-    when an end is missing or null (not finite), and ``drift_rel`` also
-    when the initial value is within ``floor`` of zero."""
+    when an end is missing or null (not finite) or when they overflow, and
+    ``drift_rel`` also when the initial value is within ``floor`` of zero."""
     q0 = series[0] if series else None
     qt = series[-1] if len(series) > 1 else None
     if q0 is None or qt is None:
@@ -131,8 +131,8 @@ def _drift(series, floor=0.0):
     return {
         "initial": q0,
         "final": qt,
-        "drift_abs": abs_d,
-        "drift_rel": abs_d / abs(q0) if abs(q0) > floor else None,
+        "drift_abs": _finite(abs_d),
+        "drift_rel": _finite(abs_d / abs(q0)) if abs(q0) > floor else None,
     }
 
 
@@ -234,13 +234,16 @@ def cmd_resume(args) -> int:
 
 def _numbers(text, command, item, option) -> list:
     """The numbers of a comma-separated option value, blank items
-    skipped; a non-number or an empty list is a config error."""
+    skipped; a non-number, a non-finite one or an empty list is a config
+    error."""
     values = []
     for entry in filter(None, (part.strip() for part in text.split(","))):
         try:
             values.append(float(entry))
         except ValueError:
             raise ConfigError(f"{command} {item} {entry!r} is not a number") from None
+        if not np.isfinite(values[-1]):
+            raise ConfigError(f"{command} {item} {entry!r} is not finite")
     if not values:
         raise ConfigError(f"{command} needs a non-empty {option} list")
     return values
@@ -306,7 +309,7 @@ def cmd_sweep(args) -> int:
     summary = {"axis": args.axis, "points": points}
     path = os.path.join(out_root, "sweep_summary.json")
     with _writing("sweep summary", path):
-        write_manifest(path, summary)
+        write_manifest(path, summary, allow_nan=False)
     return EXIT_OK if all(p["exit_code"] == EXIT_OK for p in points) else EXIT_USAGE
 
 
@@ -418,12 +421,19 @@ def cmd_diagnose_convergence(args) -> int:
     )
     errors = [e for _, e in result.rows]
     if kind is StudyKind.TEMPORAL:
-        ok = result.fitted_order is not None and abs(result.fitted_order - 4.0) <= 0.2
+        order = result.fitted_order
+        ok = order is not None and abs(order - 4.0) <= 0.2
+        miss = (f"fitted temporal order {order:.3f} is not 4 +- 0.2" if order is not None else
+                f"fewer than two errors lie above the round-off floor "
+                f"{result.reference['round_off_floor']:.3g}; no temporal order is fitted")
     else:
         # monotone decrease up to a round-off floor
         ok = all(
             e2 <= e1 or e2 <= 1e-11 for e1, e2 in zip(errors, errors[1:])
         )
+        miss = f"{kind.value} errors do not decrease: {errors}"
+    if not ok:
+        print(f"convergence check failed: {miss}", file=sys.stderr)
     payload = result.to_dict()
     payload["pass"] = bool(ok)
     _write_report(args.out, payload)

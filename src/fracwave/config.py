@@ -275,7 +275,11 @@ def build_initial(spec: InitialSpec, grid: Grid) -> RealField:
         # center defaults to the target grid's midpoint, so box-size
         # studies keep the bump centered as L grows
         center = p.get("center", grid.length / 2.0)
-        values = p["amplitude"] * np.exp(-((x - center) ** 2) / (2.0 * p["width"] ** 2))
+        try:
+            two_var = 2.0 * p["width"] ** 2
+        except OverflowError:  # a width past 1.3e154: as flat as any double shows
+            two_var = np.inf
+        values = p["amplitude"] * np.exp(-((x - center) ** 2) / two_var)
     elif spec.kind == "file":
         xs, values = read_snapshot(p["path"])
         if len(values) != grid.n_points:

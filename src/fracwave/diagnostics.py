@@ -450,7 +450,7 @@ class ConvergenceResult:
         }
 
 
-def _final_field(initial, grid, model, config) -> RealField:
+def _final_state(initial, grid, model, config):
     from .timestepper import Outcome, integrate
 
     u0 = RealField(grid, initial(grid))
@@ -460,7 +460,7 @@ def _final_field(initial, grid, model, config) -> RealField:
             f"convergence run on N={grid.n_points}, L={grid.length} ended in "
             f"{result.outcome.value}; refine the setup"
         )
-    return result.state.u
+    return result.state
 
 
 # the spatial study's grids; the temporal study halves dt this many times
@@ -482,9 +482,12 @@ def convergence_study(
     ``initial`` is a builder mapping a Grid to a value array, so the same
     datum can be realized on every resolution (and every box size).
     SPATIAL doubles N from 16 to 128 at fixed dt; TEMPORAL halves dt three
-    times at fixed N and fits the observed order; BOX_SIZE doubles the
-    (length, n_points) box twice at fixed spacing, against 8 times it, for
-    localized data, quantifying the periodic-box stand-in for the real line.
+    times at fixed N and fits the observed order over the rows whose error
+    lies above the round-off floor eps * steps * max|u| of the finest row
+    (None when fewer than two do; the floor is reported with the
+    reference); BOX_SIZE doubles the (length, n_points) box twice at fixed
+    spacing, against 8 times it, for localized data, quantifying the
+    periodic-box stand-in for the real line.
     """
     if isinstance(kind, str):
         kind = StudyKind.from_string(kind)
@@ -522,16 +525,24 @@ def convergence_study(
                  for scale in (1, 2, 4)]
         reference = {"L": ref_grid.length, "dt": dt}
 
-    ref = _final_field(initial, ref_grid, model, ref_cfg).values
+    ref = _final_state(initial, ref_grid, model, ref_cfg).u.values
     rows = []
     for resolution, grid, case_cfg, window in cases:
-        u = _final_field(initial, grid, model, case_cfg).values
-        rows.append((resolution, float(np.abs(u - ref[window]).max())))
+        state = _final_state(initial, grid, model, case_cfg)
+        rows.append((resolution, float(np.abs(state.u.values - ref[window]).max())))
     order = None
     if kind is StudyKind.TEMPORAL:
-        log_dt = np.log([r[0] for r in rows])
-        log_err = np.log([max(r[1], 1e-300) for r in rows])
-        order = _fit_line(log_dt, log_err)[0]
+        # Each step ends with one addition onto u, which rounds a value by
+        # up to eps/2 max|u|.  Counted once in the row's run and once in the
+        # reference, over the steps of the finest row (the last state), it
+        # gives the round-off floor: an error at or below it says nothing
+        # of the scheme's order.
+        floor = np.finfo(np.float64).eps * state.step_count * float(np.abs(state.u.values).max())
+        reference["round_off_floor"] = floor
+        fit = [row for row in rows if row[1] > floor]
+        if len(fit) >= 2:
+            log_dt, log_err = np.log(fit).T
+            order = _fit_line(log_dt, log_err)[0]
     return ConvergenceResult(kind, rows, order, reference)
 
 

@@ -15,8 +15,17 @@ coefficients of j = 0..N/2 (the ``rfft`` layout) are the whole of it: that
 half spectrum is the one spectral layout of the package.  Its last entry is
 the Nyquist coefficient, at signed index -N/2.  ``Grid.modes``, ``k``,
 ``_ik`` and ``dealias_keep`` hold those N/2+1 entries; ``Grid.x`` holds the
-N grid points.  The one transform pair is ``coeffs_of``/``values_of``,
-through numpy.fft's ``rfft``/``irfft``.
+N grid points.  The one transform pair is ``coeffs_of``/``values_of``.
+
+The transform is the one kernel the stepper, the snapshot sink and the
+probes are built on, and at small N numpy.fft's Python-level argument
+checks cost more than the transform itself.  So the kernel is chosen once,
+at import, and named by ``FFT_KERNEL``: the pocketfft gufuncs that
+``np.fft.rfft``/``irfft`` call after those checks, with the same factors
+(1/N forward, 1 inverse), wherever numpy has them (numpy >= 2) and a small
+probe gives ``np.fft``'s arrays bit for bit; ``np.fft`` itself otherwise.
+Either way the numbers equal ``np.fft.rfft``/``irfft(norm="forward")``
+bit for bit.
 """
 
 from __future__ import annotations
@@ -163,16 +172,74 @@ def require_same_grid(*fields) -> Grid:
 # Each acts along the last axis, so a (..., N) array is a batch of rows,
 # and each row's result is bit-identical to transforming that row alone.
 
+try:  # numpy >= 2: the gufuncs behind np.fft.rfft/irfft
+    from numpy.fft import _pocketfft_umath as _pfu
+
+    _RFFT, _IRFFT = (_pfu.rfft_n_even, _pfu.rfft_n_odd), _pfu.irfft  # _RFFT[N % 2]
+except (ImportError, AttributeError):  # numpy < 2 has no such module
+    _RFFT = _IRFFT = None
+
+
 def coeffs_of(values: np.ndarray) -> np.ndarray:
     """Coefficients of indices 0..N/2 (the half spectrum) along the last
-    axis; the rest follow by conjugate symmetry."""
-    return np.fft.rfft(values, norm="forward")
+    axis of float64 values; the rest follow by conjugate symmetry."""
+    n = values.shape[-1]
+    # C order: np.fft lays its output out like the input, and no array the
+    # package transforms is Fortran-ordered
+    out = np.empty(values.shape[:-1] + (n // 2 + 1,), np.complex128)
+    return _RFFT[n % 2](values, 1.0 / n, out=out)
 
 
 def values_of(coeffs: np.ndarray, n_points: int) -> np.ndarray:
     """Grid values from a half spectrum along the last axis.  The imaginary
     parts of the mean and Nyquist coefficients are ignored."""
+    return _IRFFT(coeffs, 1.0, out=np.empty(coeffs.shape[:-1] + (n_points,)))
+
+
+def _fft_coeffs_of(values: np.ndarray) -> np.ndarray:
+    """``coeffs_of`` through np.fft: the reference, and the fallback kernel."""
+    return np.fft.rfft(values, norm="forward")
+
+
+def _fft_values_of(coeffs: np.ndarray, n_points: int) -> np.ndarray:
+    """``values_of`` through np.fft: the reference, and the fallback kernel."""
     return np.fft.irfft(coeffs, n_points, norm="forward")
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _direct_kernel_matches() -> bool:
+    """Whether the gufunc pair gives np.fft's arrays bit for bit, both ways,
+    on a 1-D row, a 2-row batch and a strided slice, with imaginary parts
+    on the mean and Nyquist coefficients.  Its lengths are powers of two,
+    the usual grid sizes: another length would map transform code (radix-3
+    or -5 passes, say) into every process, whatever grid it runs."""
+    if _RFFT is None:
+        return False
+    # irregular data from + and *, the loops a run uses anyway: a probe that
+    # called np.cos, say, would map that loop's code in every process
+    x = np.arange(32.0)
+    rows = ((x * 0.7548776662466927 - 5.1) * x + 1.3).reshape(2, 16)
+    halves = _fft_coeffs_of(rows) + 1j
+    try:
+        return all(
+            _same_bits(coeffs_of(values), _fft_coeffs_of(values))
+            for values in (rows[0], rows, rows[:, ::2])
+        ) and all(
+            _same_bits(values_of(coeffs, n), _fft_values_of(coeffs, n))
+            for coeffs, n in ((halves[0], 16), (halves, 16), (halves[:, ::2], 8))
+        )
+    except (TypeError, ValueError):  # a gufunc whose call has changed
+        return False
+
+
+if _direct_kernel_matches():
+    FFT_KERNEL = "numpy.fft._pocketfft_umath"
+else:
+    FFT_KERNEL = "numpy.fft"
+    coeffs_of, values_of = _fft_coeffs_of, _fft_values_of
 
 
 def first_min(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .atomic import write_atomic
-from .errors import BlowUpError, CheckpointError, ParameterError
+from .errors import BlowUpError, CheckpointError, ConfigError, ParameterError
 from .models import ModelKind, ModelParams, dispersion_speed, make_rhs
 from .spectral import (
     Grid,
@@ -58,6 +58,7 @@ from .spectral import (
 )
 
 AUTO = "auto"
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass
@@ -333,21 +334,27 @@ def resolve_dt(
 
     Explicit dt is honored exactly (the final step may overshoot t_end by
     less than one dt); AUTO snaps the CFL estimate so the last step lands
-    exactly on t_end.
+    exactly on t_end.  A dt, explicit or auto, below eps * t_end is a
+    ``ConfigError`` on the setting it comes from.
     """
     if span <= 0:
         return 0.0, 0
-    if config.dt == AUTO:
-        estimate = auto_dt(u0, model, config.cfl)
-        n = _step_count(span / estimate - 1e-12)
+    auto = config.dt == AUTO
+    dt = auto_dt(u0, model, config.cfl) if auto else config.dt
+    # A step sets t to t + dt, which rounds back to t once dt is below half
+    # an ulp of t.  Every t up to t_end advances when dt >= eps * t_end, an
+    # ulp of t_end or more; below that the steps might never reach t_end.
+    if not dt >= _EPS * config.t_end:
+        key = "solver.cfl" if auto else "solver.dt"
+        raise ConfigError(
+            f"dt = {dt:g} (from {key}) is below eps * t_end = {_EPS * config.t_end:g}, "
+            f"where t + dt rounds to t: t_end / dt is not a finite number of steps",
+            key=key,
+        )
+    if auto:
+        n = max(1, math.ceil(span / dt - 1e-12))
         return span / n, n
-    return config.dt, _step_count(span / config.dt - 1e-9)
-
-
-def _step_count(ratio: float) -> int:
-    if not np.isfinite(ratio):
-        raise ParameterError(f"t_end / dt = {ratio} is not a finite number of steps")
-    return max(1, int(np.ceil(ratio)))
+    return dt, max(1, math.ceil(span / dt - 1e-9))
 
 
 def _spectrum_of(state: SimulationState) -> np.ndarray:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracwave import Grid, RealField, dispersion_speed, make_params, measure_phase_speed
-from fracwave.cli import _SnapshotWriter, main
+from fracwave.cli import _SnapshotWriter, _drift, main
 from fracwave.config import read_snapshot, write_snapshot
 from conftest import CHECKPOINT_FIELDS, poison_checkpoint
 
@@ -190,6 +190,20 @@ class TestRun:
         assert main(args) == 1
         assert "finite number of steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["solver.cfl=5e-324", "solver.cfl=1e-300",
+                                         "solver.dt=1e-300", "solver.dt=1e-18"])
+    def test_dt_that_cannot_advance_t_exit_1(self, tmp_path, capsys, setting):
+        # below eps * t_end = 2.2e-16, t + dt rounds to t before t_end; an
+        # auto dt of 5e-324 * dx / v_max underflows to 0
+        cfg_path = write_config(tmp_path / "c.json", base_config(tmp_path / "out"))
+        args = ["run", "--config", cfg_path, "--set", setting]
+        if setting.startswith("solver.cfl"):
+            args += ["--set", "solver.dt=auto"]
+        assert main(args) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        key = setting.split("=")[0]
+        assert line.startswith("error: dt = ") and f"(from {key}) is below eps * t_end" in line
+
     @pytest.mark.parametrize("dt", [0.01, "auto"])
     def test_overflowing_fractional_order_exit_1(self, tmp_path, capsys, dt):
         # |k|^(2 nu) at k_max = 8 is past the float range for nu = 180
@@ -210,6 +224,12 @@ class TestRun:
         assert drift["mass"]["drift_abs"] < 1e-14
         assert drift["mass"]["drift_rel"] is None
         assert drift["momentum"]["drift_rel"] is not None
+
+    def test_overflowing_drifts_are_null(self):
+        # finite ends whose difference or ratio overflows: JSON has no Infinity
+        assert _drift([1e308, -1e308])["drift_abs"] is None
+        assert _drift([5e-324, 1.0]) == {"initial": 5e-324, "final": 1.0,
+                                         "drift_abs": 1.0, "drift_rel": None}
 
     def test_mass_drift_rel_with_mean(self, tmp_path):
         out = tmp_path / "out"
@@ -358,6 +378,23 @@ class TestSweep:
     def test_empty_values_exit_1(self, tmp_path):
         cfg_path = write_config(tmp_path / "c.json", base_config(tmp_path / "out"))
         assert main(["sweep", "--config", cfg_path, "--axis", "nu", "--values", ","]) == 1
+
+    @pytest.mark.parametrize("values", ["nan", "1,inf", "-Infinity,1.5"])
+    def test_nonfinite_values_exit_1(self, tmp_path, capsys, values):
+        cfg_path = write_config(tmp_path / "c.json", base_config(tmp_path / "out"))
+        assert main(["sweep", "--config", cfg_path, "--axis", "nu", f"--values={values}"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: sweep value ") and line.endswith(" is not finite")
+        assert not (tmp_path / "out").exists()
+
+    def test_summary_is_strict_json(self, tmp_path):
+        # a completed point and a refused one (nu below 1)
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "c.json", base_config(out))
+        assert main(["sweep", "--config", cfg_path, "--axis", "nu", "--values", "1,0.5",
+                     "--set", "solver.t_end=0.1"]) == 1
+        points = load_strict_json(out / "sweep_summary.json")["points"]
+        assert [(p["value"], p["outcome"]) for p in points] == [(1.0, "completed"), (0.5, "error")]
 
     def test_duplicates_deduped(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -714,6 +751,46 @@ class TestDiagnoseCommands:
             payload = json.load(fh)
         assert abs(payload["fitted_order"] - 4.0) <= 0.2
         assert payload["pass"] is True
+
+
+    def test_convergence_temporal_skips_round_off_rows(self, tmp_path, capsys):
+        # errors 6.0e-13, 3.7e-14, 2.9e-15 and 8.3e-16: the last two are
+        # round-off, and a fit over all four read order 3.22
+        cfg = {
+            "model": {"kind": "fch", "nu": 1.0},
+            "grid": {"N": 64},
+            "initial": {"kind": "mode", "k": 1, "amplitude": 0.3},
+            "solver": {"t_end": 0.2, "dt": 0.005},
+        }
+        cfg_path = write_config(tmp_path / "c.json", cfg)
+        report = tmp_path / "r.json"
+        assert main([
+            "diagnose", "convergence", "--kind", "temporal",
+            "--config", cfg_path, "--out", str(report),
+        ]) == 0
+        assert capsys.readouterr().err == ""
+        payload = load_strict_json(report)
+        errors = [row["error"] for row in payload["rows"]]
+        floor = payload["reference"]["round_off_floor"]
+        # eps * (0.2 / (0.005 / 8)) steps * max|u| of about 0.3
+        assert floor == pytest.approx(np.finfo(float).eps * 320 * 0.3, rel=0.01)
+        assert errors[1] > floor >= errors[2] > errors[3]
+        assert abs(payload["fitted_order"] - 4.0) <= 0.2
+        assert payload["pass"] is True
+
+    def test_convergence_temporal_miss_says_why(self, tmp_path, capsys):
+        # a zero datum has no error above the round-off floor, so no order
+        cfg_path = write_config(tmp_path / "c.json", base_config(tmp_path / "out"))
+        report = tmp_path / "r.json"
+        assert main([
+            "diagnose", "convergence", "--kind", "temporal", "--set", "solver.t_end=0.1",
+            "--config", cfg_path, "--out", str(report),
+        ]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "convergence check failed: fewer than two errors lie above the round-off "
+            "floor 0; no temporal order is fitted"]
+        payload = load_strict_json(report)
+        assert (payload["fitted_order"], payload["pass"]) == (None, False)
 
 
 class TestResume:

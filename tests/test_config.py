@@ -340,6 +340,25 @@ class TestInitialData:
             build_initial(validate_config(raw).initial, make_grid(16))
 
 
+    @pytest.mark.parametrize("width", [1.3e154, 1.35e154, 1e200, 1.7e308])
+    def test_gaussian_past_double_range_is_flat(self, width):
+        # width**2 overflows from about 1.34e154 (2 width**2 from 9.5e153):
+        # the exponent is -0 at every point, as far as a double shows
+        raw = minimal_config()
+        raw["initial"] = {"kind": "gaussian", "amplitude": 0.7, "width": width}
+        u = build_initial(validate_config(raw).initial, make_grid(16))
+        assert np.array_equal(u.values, np.full(16, 0.7))
+
+    @pytest.mark.parametrize("width", [1e-150, 0.3, 2.5, 1e100, 9e153, 1.33e154])
+    def test_gaussian_bytes_unchanged(self, width):
+        g = make_grid(64)
+        raw = minimal_config()
+        raw["initial"] = {"kind": "gaussian", "amplitude": 1.5, "width": width, "center": 2.0}
+        u = build_initial(validate_config(raw).initial, g)
+        with np.errstate(all="ignore"):
+            expected = 1.5 * np.exp(-((g.x - 2.0) ** 2) / (2.0 * width**2))
+        assert u.values.tobytes() == expected.tobytes()
+
 class TestSnapshotIO:
     def test_header_and_shape(self, tmp_path):
         g = make_grid(16)
@@ -470,3 +489,8 @@ class TestAtomicWrites:
         payload = {"a": [1.0, float("nan")], "b": None}
         write_manifest(tmp_path / "m.json", payload)
         assert (tmp_path / "m.json").read_text() == json.dumps(payload, indent=2) + "\n"
+
+    def test_strict_manifest_refuses_nan_and_writes_nothing(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_manifest(tmp_path / "m.json", {"a": [1.0, float("inf")]}, allow_nan=False)
+        assert os.listdir(tmp_path) == []

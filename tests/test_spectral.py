@@ -1,3 +1,4 @@
+import importlib.util
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from fracwave import (
     inverse_transform,
     sobolev_norm,
 )
+from fracwave import spectral
 from fracwave.spectral import _fit_line, coeffs_of, sobolev_norms, sobolev_weight, values_of
 from conftest import make_grid, smooth_field
 from oracles import dft_oracle, full_coeffs_of, full_k
@@ -368,6 +370,71 @@ class TestRowKernels:
         values = np.array([np.full(16, 3.0), np.full(16, -1.0)])
         assert np.allclose(coeffs_of(values)[:, 0], [3.0, -1.0], atol=0, rtol=1e-15)
         assert np.allclose(values_of(coeffs_of(values), 16), values, atol=1e-15, rtol=0)
+
+
+# the kernel chosen at import and the np.fft fallback; both must give
+# np.fft's arrays bit for bit
+KERNELS = {
+    "chosen": (coeffs_of, values_of),
+    "fallback": (spectral._fft_coeffs_of, spectral._fft_values_of),
+}
+
+
+def _assert_same_bits(got, want):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def _layouts(base):
+    """``base`` (rows, 2 n) as the inputs the package hands a kernel: a 1-D
+    row, a batch, a row of a batch (u_hat[k]), an offset view (vals[1:])
+    and a strided view."""
+    n = base.shape[-1] // 2
+    flat = base.reshape(-1)
+    return {
+        "row": base[0, :n].copy(),
+        "batch": base[:, :n].copy(),
+        "row of a batch": np.ascontiguousarray(base[:, :n])[-1],
+        "offset": flat[1:n + 1],
+        "strided": base[:, ::2],
+    }
+
+
+class TestTransformKernel:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(8, 4096), rows=st.integers(1, 3),
+           scale=st.sampled_from([1.0, 2.0**-600, 2.0**600]), seed=st.integers(0, 2**32 - 1))
+    def test_equals_numpy_fft_bit_for_bit(self, kernel, n, rows, scale, seed):
+        forward, inverse = KERNELS[kernel]
+        rng = np.random.default_rng(seed)
+        m = n // 2 + 1
+        values = scale * rng.standard_normal((rows, 2 * n))
+        # every coefficient complex, the mean and (even n) Nyquist ones too
+        halves = scale * (rng.standard_normal((rows, 2 * m)) + 1j * rng.standard_normal((rows, 2 * m)))
+        for v in _layouts(values).values():
+            _assert_same_bits(forward(v), np.fft.rfft(v, norm="forward"))
+        for c in _layouts(halves).values():
+            _assert_same_bits(inverse(c, n), np.fft.irfft(c, n, norm="forward"))
+
+    def test_direct_kernel_chosen_where_numpy_has_it(self):
+        # a silent fallback would keep every number and lose the speed
+        direct = importlib.util.find_spec("numpy.fft._pocketfft_umath") is not None
+        assert spectral.FFT_KERNEL == ("numpy.fft._pocketfft_umath" if direct else "numpy.fft")
+        assert (coeffs_of is spectral._fft_coeffs_of) is not direct
+        assert (values_of is spectral._fft_values_of) is not direct
+
+    @pytest.mark.skipif(spectral.FFT_KERNEL == "numpy.fft", reason="no direct kernel here")
+    @pytest.mark.parametrize("which", ["forward", "inverse"])
+    def test_probe_refuses_a_kernel_one_ulp_off(self, monkeypatch, which):
+        assert spectral._direct_kernel_matches()
+        rfft, irfft = spectral._RFFT, spectral._IRFFT
+        off = lambda gufunc: lambda a, fct, out: gufunc(a, np.nextafter(fct, 2.0), out=out)
+        if which == "forward":
+            monkeypatch.setattr(spectral, "_RFFT", tuple(off(f) for f in rfft))
+        else:
+            monkeypatch.setattr(spectral, "_IRFFT", off(irfft))
+        assert not spectral._direct_kernel_matches()
 
 
 def test_parseval(rng):

@@ -12,6 +12,7 @@ from fracwave import (
     BlowUpError,
     CheckpointError,
     Coefficients,
+    ConfigError,
     Outcome,
     ParameterError,
     RealField,
@@ -404,6 +405,32 @@ class TestAutoDt:
         dt, steps = resolve_dt(u0, make_params("fkdv", 1.0), SolverConfig(t_end=10.0), 10.0)
         assert steps == 815
         assert dt == 10.0 / 815
+
+    @settings(max_examples=200, deadline=None)
+    @given(t_end=st.floats(1e-300, 1e300), frac=st.floats(0.0, 1.0))
+    def test_smallest_dt_advances_every_t_up_to_t_end(self, t_end, frac):
+        # dt = eps * t_end is the least dt resolve_dt takes; one ulp less is
+        # refused.  A step from any t in [0, t_end] then moves t.
+        g = make_grid(16)
+        eps = np.finfo(float).eps
+        dt = eps * t_end
+        assume(dt > 0)
+        p, u0 = make_params("fch", 1.0), RealField.zeros(g)
+        assert resolve_dt(u0, p, SolverConfig(t_end=t_end, dt=dt), t_end)[0] == dt
+        with pytest.raises(ConfigError, match="below eps") as err:
+            resolve_dt(u0, p, SolverConfig(t_end=t_end, dt=np.nextafter(dt, 0.0)), t_end)
+        assert err.value.key == "solver.dt"
+        t = frac * t_end
+        assert t + dt > t
+
+    def test_underflowing_auto_dt_is_a_config_error(self):
+        # cfl * dx / v_max underflows to 0, which used to divide by zero
+        g = make_grid(64)
+        u0 = RealField(g, 0.3 * np.sin(g.x))
+        assert auto_dt(u0, make_params("fch", 1.0), cfl=5e-324) == 0.0
+        with pytest.raises(ConfigError, match="below eps") as err:
+            resolve_dt(u0, make_params("fch", 1.0), SolverConfig(t_end=1.0, cfl=5e-324), 1.0)
+        assert err.value.key == "solver.cfl"
 
     def test_all_rest_fallback(self):
         g = make_grid(64)
