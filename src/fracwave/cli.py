@@ -96,13 +96,14 @@ class _SnapshotWriter:
         from .models import _conserved, _conserved_weights
         from .spectral import coeffs_of
 
+        if not self.entries:  # integrate's first call comes once dt is set
+            _make_output_dir(self.directory)
+            self.first_extent = (u.grid.length, float(np.abs(u.values).max()))
+            self._weights = _conserved_weights(u.grid, self._model)
         name = f"snap_{len(self.entries):06d}.csv"
         path = os.path.join(self.directory, name)
         with _writing("snapshot", path):
             write_snapshot(path, u)
-        if not self.entries:
-            self.first_extent = (u.grid.length, float(np.abs(u.values).max()))
-            self._weights = _conserved_weights(u.grid, self._model)
         self.entries.append({"t": t, "file": name})
         self.times.append(t)
         half = coeffs_of(u.values)
@@ -154,7 +155,6 @@ def _execute_run(run_cfg, start=None):
 
     start = start or build_initial(run_cfg.initial, run_cfg.grid)
     out_dir = run_cfg.output.directory
-    _make_output_dir(out_dir)
     mode = run_cfg.initial.params["k"] if run_cfg.initial.kind == "mode" else None
     sink = _SnapshotWriter(out_dir, run_cfg.model, mode)
     result = integrate(start, run_cfg.model, run_cfg.solver, sink=sink)

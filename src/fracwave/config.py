@@ -25,7 +25,7 @@ import numpy as np
 
 from .atomic import open_atomic, write_manifest  # noqa: F401  (a public name here)
 from .errors import BlowUpError, ConfigError, ParameterError
-from .models import Coefficients, ModelKind, ModelParams, default_coefficients, make_params
+from .models import Coefficients, ModelKind, ModelParams, default_coefficients
 from .operators import FractionalOrder
 from .spectral import Grid, RealField
 from .timestepper import AUTO, SolverConfig, _scheme
@@ -133,25 +133,26 @@ def validate_config(cfg: dict, allow_low_nu: bool = False) -> RunConfig:
         raise ConfigError("configuration root must be a JSON object")
     sections = _read_keys(cfg, _SECTIONS, None, required=("model", "grid", "initial", "solver"))
 
-    # model
+    # model: the kind, the order and the coefficients, each read once
     m = _read_keys(sections["model"], _MODEL_KEYS, "model", required=("kind", "nu"))
-    coeffs = None
-    if "coefficients" in m:
-        try:
-            base = default_coefficients(ModelKind.from_string(m["kind"]))
-        except ParameterError as err:
-            raise ConfigError(str(err), key="model.kind") from None
-        given = _read_keys(m["coefficients"], _COEFFICIENT_KEYS, "model.coefficients")
-        coeffs = replace(base, **given)
+    try:
+        kind = ModelKind.from_string(m["kind"])
+    except ParameterError as err:
+        raise ConfigError(str(err), key="model.kind") from None
     if not allow_low_nu and m["nu"] < 1.0:
         raise ConfigError(
             f"model.nu = {m['nu']} < 1; pass --allow-low-nu to waive the nu >= 1 constraint",
             key="model.nu",
         )
     try:
-        model = make_params(m["kind"], FractionalOrder(m["nu"], strict=not allow_low_nu), coeffs)
+        nu = FractionalOrder(m["nu"], strict=False)  # nu >= 1 is applied just above
     except ParameterError as err:
-        raise ConfigError(str(err), key="model") from None
+        raise ConfigError(str(err), key="model.nu") from None
+    given = _read_keys(m.get("coefficients", {}), _COEFFICIENT_KEYS, "model.coefficients")
+    try:
+        model = ModelParams(kind, nu, replace(default_coefficients(kind), **given))
+    except ParameterError as err:
+        raise ConfigError(str(err), key="model.coefficients") from None
 
     # grid
     g = _read_keys(sections["grid"], _GRID_KEYS, "grid", required=("N",))

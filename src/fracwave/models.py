@@ -12,9 +12,9 @@ with L_nu the fractional Laplacian.  The three physical members are
     fKdV  c_disp = -1/2, c_evo = 0,    c_mix = 0
     fBBM  c_disp = 3/4,  c_evo = 5/4,  c_mix = 0
 
-plus a shared linearization (c_nl = c_mix = 0) used for dispersion
-measurements and as a pure-advection workhorse when c_disp = c_evo = 0.
-Every mode travels at the phase speed
+A kind only names a default set; fBBM with c_nl = 0 is the linearization
+of fCH and fBBM (pure advection if c_disp = c_evo = 0 too).  Every mode
+travels at the phase speed
 
     c(k) = (c_adv + c_disp |k|^(2 nu)) / (1 + c_evo |k|^(2 nu))
 
@@ -23,7 +23,7 @@ in the linear regime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class ModelKind(NamedChoice, what="model kind"):
     FCH = "fch"
     FKDV = "fkdv"
     FBBM = "fbbm"
-    LINEARIZED_FCH = "linearized"
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,6 @@ _DEFAULTS = {
     ModelKind.FCH: Coefficients(c_disp=0.75, c_evo=1.25, c_mix=0.25),
     ModelKind.FKDV: Coefficients(c_disp=-0.5, c_evo=0.0, c_mix=0.0),
     ModelKind.FBBM: Coefficients(c_disp=0.75, c_evo=1.25, c_mix=0.0),
-    ModelKind.LINEARIZED_FCH: Coefficients(c_disp=0.75, c_evo=1.25, c_mix=0.0),
 }
 
 
@@ -72,10 +70,10 @@ def default_coefficients(kind: ModelKind) -> Coefficients:
 class ModelParams:
     """A model kind plus its fractional order and coefficient set.
 
-    Coefficients default per kind and may be overridden (e.g. c_mix = 0
-    to strip the mixed term from fCH), subject to structural consistency:
-    c_evo >= 0 always, and the fKdV form admits no evolution or mixed
-    term.
+    ``coefficients`` replaces the kind's whole set (fields it leaves out
+    take the class defaults; only a config merges over the kind's set).
+    c_evo >= 0 always; fBBM admits no mixed term, fKdV no evolution or
+    mixed term.
     """
 
     kind: ModelKind
@@ -112,8 +110,7 @@ class SpectralRHS:
     normalization.  Every symbol is built once here, so a call costs one
     stacked inverse transform of [u, u_x, L u_x] and one stacked forward
     transform of [u u_x, u L u_x]; the L u_x rows are dropped when
-    c_mix = 0 and both transforms when the model is linear.  The
-    ``linearized`` kind always evaluates with c_nl = c_mix = 0.
+    c_mix = 0 and both transforms when the model is linear.
 
     ``with_slope`` also returns min u_x, read off the u_x row of that
     inverse transform: a stepper's stage 1 then gives the state's breaking
@@ -127,9 +124,6 @@ class SpectralRHS:
 
     def __init__(self, grid: Grid, p: ModelParams, dealias: bool = True, linear: bool = True):
         c = p.coefficients
-        c_nl, c_mix = c.c_nl, c.c_mix
-        if p.kind is ModelKind.LINEARIZED_FCH:
-            c_nl = c_mix = 0.0
         self.n_points = grid.n_points
         self._ik = ik = grid._ik
         lap = laplacian_symbol(grid, p.nu.value)
@@ -139,15 +133,15 @@ class SpectralRHS:
         self._linear = self.linear_symbol if linear else None
         # rows multiplied into u_hat before the inverse transform, and the
         # weight of each product u * row_j (j >= 1) in du/dt
-        if c_mix != 0.0:
+        if c.c_mix != 0.0:
             self._rows = np.stack([np.ones_like(lap), ik, ik * lap])
             self._weights = (
-                -(c_nl + 2.0 * c_mix * lap) * inv_evo * keep,
-                -c_mix * inv_evo * keep,
+                -(c.c_nl + 2.0 * c.c_mix * lap) * inv_evo * keep,
+                -c.c_mix * inv_evo * keep,
             )
-        elif c_nl != 0.0:
+        elif c.c_nl != 0.0:
             self._rows = np.stack([np.ones_like(lap), ik])
-            self._weights = (-c_nl * inv_evo * keep,)
+            self._weights = (-c.c_nl * inv_evo * keep,)
         else:
             self._rows = None
 
@@ -214,8 +208,9 @@ def rhs_fbbm(u: RealField, p: ModelParams, dealias: bool = True) -> RealField:
 
 
 def rhs_linearized(u: RealField, p: ModelParams, dealias: bool = True) -> RealField:
-    """du/dt for the linearization shared by fCH/fBBM (c_nl = c_mix = 0)."""
-    lin = ModelParams(ModelKind.LINEARIZED_FCH, p.nu, p.coefficients)
+    """du/dt of the linearization of ``p``'s own coefficients, of any kind:
+    c_nl = c_mix = 0, in the fBBM form."""
+    lin = ModelParams(ModelKind.FBBM, p.nu, replace(p.coefficients, c_nl=0.0, c_mix=0.0))
     return make_rhs(u.grid, lin, dealias).field(u)
 
 

@@ -362,7 +362,10 @@ def fit_phase_speed(times, coeffs, grid: Grid, mode: int) -> float:
     if np.abs(coeffs).min() < 1e-300:
         raise ParameterError(f"mode {mode} is not populated; cannot fit its phase")
     phases = np.unwrap(np.angle(coeffs))
-    return float(-_fit_line(times, phases)[0] / grid.k[mode])
+    speed = float(-_fit_line(times, phases)[0] / grid.k[mode])
+    if not np.isfinite(speed):  # snapshot times too close together for doubles, say
+        raise ParameterError(f"the phase fit of mode {mode} is not finite")
+    return speed
 
 
 def _fit_line(x, y) -> tuple[float, float]:

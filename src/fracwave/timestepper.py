@@ -296,7 +296,7 @@ def _fit_breaking_time(history, threshold: float) -> float | None:
         return None
     pts = pts[-16:]
     slope, intercept = _fit_line([p[0] for p in pts], [-1.0 / p[1] for p in pts])
-    if slope >= 0:
+    if not -math.inf < slope < 0:  # not finite when the times are too close for doubles
         return None
     return float(-intercept / slope)
 

@@ -4,10 +4,13 @@ import zlib
 import numpy as np
 import pytest
 
-from fracwave import Grid, RealField
+from fracwave import Coefficients, Grid, RealField
 from fracwave.diagnostics import random_band_limited
 
 TWO_PI = 2.0 * np.pi
+
+# fBBM's default set with c_nl = 0: the linearization shared by fCH and fBBM
+LINEAR_FBBM = Coefficients(c_nl=0.0, c_disp=0.75, c_evo=1.25)
 
 
 @pytest.fixture

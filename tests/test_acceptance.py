@@ -194,7 +194,7 @@ def test_criterion_06_temporal_order():
 
 def test_criterion_07_spectral_spatial_accuracy():
     adv = make_params(
-        "linearized", 1.0, Coefficients(c_adv=1.0, c_nl=0.0, c_disp=0.0, c_evo=0.0)
+        "fbbm", 1.0, Coefficients(c_adv=1.0, c_nl=0.0, c_disp=0.0, c_evo=0.0)
     )
     g = make_grid(64)
     u0 = RealField(g, np.exp(np.sin(g.x)))

@@ -203,6 +203,31 @@ class TestRun:
         (line,) = capsys.readouterr().err.splitlines()
         key = setting.split("=")[0]
         assert line.startswith("error: dt = ") and f"(from {key}) is below eps * t_end" in line
+        assert not (tmp_path / "out").exists()  # a refused run makes no output directory
+
+    @pytest.mark.parametrize("t_end", [1e-300, 5e-324])
+    def test_phase_speed_of_indistinct_times_is_null(self, tmp_path, t_end):
+        # the two snapshot times are too close for the fit's sums, so its
+        # slope is not finite; the manifest says null, not NaN
+        out = tmp_path / "out"
+        cfg = base_config(out, grid={"N": 16},
+                          initial={"kind": "mode", "k": 1, "amplitude": 0.1},
+                          solver={"t_end": t_end, "dt": "auto"})
+        assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        manifest = load_manifest(out)
+        assert len(manifest["snapshots"]) == 2
+        assert manifest["measured_phase_speed"] is None
+
+    def test_linearized_kind_is_unknown(self, tmp_path, capsys):
+        # the kind is gone: fbbm with c_nl = 0 is its coefficient set, and a
+        # c_nl given with the old name is refused, not silently dropped
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "c.json", base_config(out))
+        assert main(["run", "--config", cfg_path, "--set", "model.kind=linearized",
+                     "--set", 'model.coefficients={"c_nl": 7}']) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unknown model kind 'linearized'; expected one of ['fch', 'fkdv', 'fbbm']"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("dt", [0.01, "auto"])
     def test_overflowing_fractional_order_exit_1(self, tmp_path, capsys, dt):
@@ -248,7 +273,8 @@ class TestRun:
         datum = 0.5 * np.cos(grid.x) + 0.5 * np.cos(3.0 * grid.x) + 0.9e-12
         write_snapshot(tmp_path / "u0.csv", RealField(grid, datum))
         out = tmp_path / "out"
-        cfg = base_config(out, model={"kind": "linearized", "nu": 1.0}, grid={"N": 32},
+        cfg = base_config(out, model={"kind": "fbbm", "nu": 1.0, "coefficients": {"c_nl": 0}},
+                          grid={"N": 32},
                           initial={"kind": "file", "path": str(tmp_path / "u0.csv")})
         cfg["solver"] = {"t_end": 7.0, "dt": 0.05, "snapshot_every": 7.0}
         assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
@@ -304,7 +330,7 @@ class TestRun:
     def test_overflowing_tail_energy_is_not_breaking(self, tmp_path):
         # |u_hat|^2 overflows at this amplitude; the tail fraction stays finite
         out = tmp_path / "out"
-        cfg = base_config(out, model={"kind": "linearized", "nu": 1.0},
+        cfg = base_config(out, model={"kind": "fbbm", "nu": 1.0, "coefficients": {"c_nl": 0}},
                           initial={"kind": "mode", "k": 2, "amplitude": 1e170},
                           solver={"t_end": 0.05, "dt": 0.01, "dealias": False})
         assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
@@ -327,7 +353,7 @@ class TestRun:
         out = tmp_path / "out"
         cfg = base_config(
             out,
-            model={"kind": "linearized", "nu": 1.0},
+            model={"kind": "fbbm", "nu": 1.0, "coefficients": {"c_nl": 0}},
             initial={"kind": "mode", "k": 1, "amplitude": 1.0},
             solver={"t_end": 1000.0, "dt": 10.0, "dealias": False,
                     "on_breaking": "warn"},
@@ -527,7 +553,7 @@ class TestDiagnoseCommands:
 
     def test_dependence_linear_constant_g_one(self, tmp_path):
         cfg = {
-            "model": {"kind": "linearized", "nu": 1.0},
+            "model": {"kind": "fbbm", "nu": 1.0, "coefficients": {"c_nl": 0}},
             "grid": {"N": 32},
             "initial": {"kind": "constant", "value": 0.3},
             "solver": {"t_end": 0.5, "dt": 0.025},
@@ -716,7 +742,7 @@ class TestDiagnoseCommands:
 
     def test_convergence_spatial(self, tmp_path):
         cfg = {
-            "model": {"kind": "linearized", "nu": 1.0,
+            "model": {"kind": "fbbm", "nu": 1.0,
                       "coefficients": {"c_nl": 0.0, "c_disp": 0.0, "c_evo": 0.0}},
             "grid": {"N": 64},
             "initial": {"kind": "gaussian", "amplitude": 0.5, "width": 0.4},
@@ -905,8 +931,9 @@ class TestSnapshotSink:
 
 # Every config key but output.directory (a relative one would be written
 # outside the temporary directory) plus an unknown one, and a fixed set of
-# awkward JSON values, on an N=16 base config: no draw can allocate a large
-# grid.
+# awkward JSON values and edge numbers (subnormal, tiny, huge, near the
+# largest double, a 401-digit integer), on an N=16 base config: no draw can
+# allocate a large grid, since a huge N is refused before any allocation.
 _PROPERTY_KEYS = [
     "model.kind", "model.nu",
     *(f"model.coefficients.{c}" for c in ("c_adv", "c_nl", "c_disp", "c_evo", "c_mix")),
@@ -918,7 +945,8 @@ _PROPERTY_KEYS = [
                               "tail_fraction_threshold", "on_breaking")),
     "output.manifest", "output.extra",
 ]
-_PROPERTY_VALUES = ["NaN", "Infinity", "-Infinity", "-1", "0", "x", "true", "null", "[]", "{}"]
+_PROPERTY_VALUES = ["NaN", "Infinity", "-Infinity", "-1", "0", "x", "true", "null", "[]", "{}",
+                    "5e-324", "1e-300", "1e300", "1.8e308", "1" + "0" * 400]
 
 
 class TestExitCodeProperty:
@@ -941,6 +969,9 @@ class TestExitCodeProperty:
             err = io.StringIO()
             with contextlib.redirect_stderr(err), np.errstate(all="ignore"):
                 code = main(args)
+            manifest = Path(tmp) / "out" / "manifest.json"
+            if manifest.exists():
+                load_strict_json(manifest)
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
         # a non-finite number is a config error for every key, never a blow-up

@@ -20,7 +20,7 @@ from fracwave.config import (
 )
 from fracwave.spectral import coeffs_of
 from fracwave.timestepper import SimulationState, checkpoint_write, resolve_dt
-from conftest import TWO_PI, make_grid, smooth_field
+from conftest import LINEAR_FBBM, TWO_PI, make_grid, smooth_field
 
 
 def minimal_config(**solver_extra):
@@ -127,6 +127,34 @@ class TestValidateConfig:
         cfg = validate_config(raw)
         assert cfg.model.coefficients.c_mix == 0.0
         assert cfg.model.coefficients.c_evo == 1.25  # default preserved
+        raw["model"] = {"kind": "fbbm", "nu": 1.0, "coefficients": {"c_nl": 0}}
+        assert validate_config(raw).model.coefficients == LINEAR_FBBM
+
+    @pytest.mark.parametrize("model,allow_low_nu,key,message", [
+        ({"kind": "fchh", "nu": 1.0}, False, "model.kind", "unknown model kind 'fchh'"),
+        ({"kind": "fchh", "nu": 1.0, "coefficients": {}}, False, "model.kind",
+         "unknown model kind 'fchh'"),
+        ({"kind": "Linearized-FCH", "nu": 1.0, "coefficients": {"c_nl": 7}}, False,
+         "model.kind", "unknown model kind 'Linearized-FCH'; "
+                       "expected one of ['fch', 'fkdv', 'fbbm']"),
+        ({"kind": "fch", "nu": 0.75}, False, "model.nu",
+         "model.nu = 0.75 < 1; pass --allow-low-nu to waive the nu >= 1 constraint"),
+        ({"kind": "fch", "nu": 0.3}, True, "model.nu", "fractional order must be >= 1/2, got 0.3"),
+        ({"kind": "fkdv", "nu": 1.0, "coefficients": {"c_evo": 1.0}}, False,
+         "model.coefficients", "fKdV admits no c_evo or c_mix term"),
+        ({"kind": "fbbm", "nu": 1.0, "coefficients": {"c_mix": 0.1}}, False,
+         "model.coefficients", "fBBM admits no c_mix term"),
+        ({"kind": "fch", "nu": 1.0, "coefficients": {"c_evo": -1}}, False,
+         "model.coefficients", "c_evo must be nonnegative, got -1.0"),
+    ], ids=["kind", "kind-with-coefficients", "linearized", "low-nu", "nu-below-half",
+            "fkdv-c_evo", "fbbm-c_mix", "negative-c_evo"])
+    def test_model_errors_name_their_key(self, model, allow_low_nu, key, message):
+        raw = minimal_config()
+        raw["model"] = model
+        with pytest.raises(ConfigError) as err:
+            validate_config(raw, allow_low_nu=allow_low_nu)
+        assert err.value.key == key
+        assert str(err.value).startswith(message)
 
     def test_mode_k_range(self):
         raw = minimal_config()
@@ -169,7 +197,7 @@ class TestValidateConfig:
         assert 0.9 * advective < dt <= advective
 
     @pytest.mark.parametrize("kind,value", [
-        ("fch", "rk4"), ("fbbm", "RK4"), ("linearized", " rk4"), ("fkdv", " IFRK4 "),
+        ("fch", "rk4"), ("fbbm", "RK4"), ("fbbm", " rk4"), ("fkdv", " IFRK4 "),
     ])
     def test_integrator_key_may_name_the_models_scheme(self, kind, value):
         raw = minimal_config(integrator=value)

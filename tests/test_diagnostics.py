@@ -476,7 +476,7 @@ def gaussian_bump(grid):
 class TestConvergenceStudy:
     def test_spatial_advection(self):
         model = make_params(
-            "linearized", 1.0, Coefficients(c_adv=1.0, c_nl=0.0, c_disp=0.0, c_evo=0.0)
+            "fbbm", 1.0, Coefficients(c_adv=1.0, c_nl=0.0, c_disp=0.0, c_evo=0.0)
         )
         cfg = SolverConfig(t_end=1.0, dt=1e-3, dealias=False)
         res = convergence_study(
@@ -510,8 +510,6 @@ class TestConvergenceStudy:
             ModelKind.FCH: ["fch", " FCH "],
             ModelKind.FKDV: ["fkdv", "FKdV"],
             ModelKind.FBBM: ["fbbm"],
-            ModelKind.LINEARIZED_FCH:
-                ["linearized", "linearized_fch", "linearized-fch", "Linearized-FCH"],
             LipschitzKind.A_LIP: ["a-lip", "a_lip", "A-LIP"],
             LipschitzKind.B_BOUND: ["b-bound", "b_bound"],
             LipschitzKind.B_LIP: ["b-lip", "B_Lip"],
@@ -527,6 +525,8 @@ class TestConvergenceStudy:
             for text in texts:
                 assert type(member).from_string(text) is member
         for kind, text, what in [(ModelKind, "ch", "model kind"),
+                                 (ModelKind, "linearized", "model kind"),
+                                 (ModelKind, "Linearized-FCH", "model kind"),
                                  (LipschitzKind, "a-lipx", "Lipschitz probe"),
                                  (StudyKind, "banana", "study kind")]:
             with pytest.raises(ParameterError, match=f"unknown {what} '{text}'"):

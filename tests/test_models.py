@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from fracwave import (
     dispersion_speed,
     fbbm_energy,
     make_params,
+    make_rhs,
     mass,
     momentum,
     rhs_fbbm,
@@ -24,7 +27,7 @@ from fracwave import (
 from fracwave.operators import lambda_symbol, laplacian_symbol
 from fracwave.spectral import coeffs_of, values_of
 from fracwave.timestepper import _tail_fraction
-from conftest import make_grid, smooth_field
+from conftest import LINEAR_FBBM, make_grid, smooth_field
 from oracles import dft_oracle, full_k, full_modes, masked_product
 
 
@@ -41,9 +44,10 @@ class TestModelParams:
 
     def test_kind_strings(self):
         assert make_params("fch", 1.0).kind is ModelKind.FCH
-        assert make_params("linearized_fch", 1.0).kind is ModelKind.LINEARIZED_FCH
-        with pytest.raises(ParameterError):
-            make_params("kdv2", 1.0)
+        assert list(ModelKind) == [ModelKind.FCH, ModelKind.FKDV, ModelKind.FBBM]
+        for text in ("kdv2", "linearized", "linearized_fch", "Linearized-FCH"):
+            with pytest.raises(ParameterError, match="expected one of \\['fch', 'fkdv', 'fbbm'\\]"):
+                make_params(text, 1.0)
 
     def test_consistency(self):
         with pytest.raises(ParameterError):
@@ -66,14 +70,16 @@ class TestModelParams:
 
 
 class TestEquilibria:
-    @pytest.mark.parametrize("kind", ["fch", "fkdv", "fbbm", "linearized"])
+    @pytest.mark.parametrize(
+        "kind,coefficients",
+        [("fch", None), ("fkdv", None), ("fbbm", None), ("fbbm", LINEAR_FBBM)],
+        ids=["fch", "fkdv", "fbbm", "fbbm-c_nl=0"],
+    )
     @pytest.mark.parametrize("value", [0.0, -0.8, 2.5])
-    def test_constants_are_fixed_points(self, kind, value):
+    def test_constants_are_fixed_points(self, kind, coefficients, value):
         g = make_grid(32)
-        p = make_params(kind, 1.5)
+        p = make_params(kind, 1.5, coefficients)
         u = RealField(g, np.full(32, value))
-        from fracwave import make_rhs
-
         out = make_rhs(g, p).field(u)
         assert sobolev_norm(out, 0.0) <= 1e-13
 
@@ -103,6 +109,15 @@ class TestClosedForms:
         diff = rhs_fch(u, p).values - rhs_linearized(u, p).values
         assert np.abs(diff).max() < 100 * eps**2
 
+    @pytest.mark.parametrize("kind", ["fch", "fbbm", "fkdv"])
+    def test_linearized_rhs_is_fbbm_without_products(self, kind, rng):
+        # the linearization of p's own coefficients, whatever p's kind
+        g = make_grid(64)
+        p = make_params(kind, 1.3)
+        u = smooth_field(g, rng, band=10)
+        lin = make_params("fbbm", 1.3, replace(p.coefficients, c_nl=0.0, c_mix=0.0))
+        assert np.array_equal(rhs_linearized(u, p).values, make_rhs(g, lin).field(u).values)
+
     def test_fbbm_agrees_with_fch_to_second_order(self):
         g = make_grid(64)
         eps = 1e-6
@@ -120,8 +135,6 @@ class TestLinearRegime:
         p = make_params(kind, nu)
         eps = 1e-6
         u = RealField(g, eps * np.sin(k * g.x))
-        from fracwave import make_rhs
-
         out = make_rhs(g, p).field(u)
         c = dispersion_speed(float(k), p)
         expected = -c * derivative(u).values

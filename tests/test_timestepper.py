@@ -45,13 +45,20 @@ from fracwave.timestepper import (
     resolve_dt,
 )
 from fracwave.spectral import coeffs_of, values_of
-from conftest import CHECKPOINT_FIELDS, TWO_PI, make_grid, poison_checkpoint, smooth_field
+from conftest import (
+    CHECKPOINT_FIELDS,
+    LINEAR_FBBM,
+    TWO_PI,
+    make_grid,
+    poison_checkpoint,
+    smooth_field,
+)
 from oracles import full_coeffs_of, full_k, full_values_of, masked_product
 
 
 def advection_params():
     return make_params(
-        "linearized", 1.0, Coefficients(c_adv=1.0, c_nl=0.0, c_disp=0.0, c_evo=0.0)
+        "fbbm", 1.0, Coefficients(c_adv=1.0, c_nl=0.0, c_disp=0.0, c_evo=0.0)
     )
 
 
@@ -83,7 +90,7 @@ class TestSolverConfig:
 class TestRK4Step:
     def test_zero_rhs(self):
         g = make_grid(16)
-        zero = make_params("linearized", 1.0, Coefficients(c_adv=0.0, c_nl=0.0))
+        zero = make_params("fbbm", 1.0, Coefficients(c_adv=0.0, c_nl=0.0))
         u_hat = coeffs_of(np.sin(g.x))
         start = SimulationState(
             t=0.5, u=RealField(g, values_of(u_hat, 16)), u_hat=u_hat
@@ -107,7 +114,7 @@ class TestRK4Step:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_carries_stage_and_time(self):
         g = make_grid(16)
-        fast = make_params("linearized", 1.0, Coefficients(c_adv=1e200, c_nl=0.0))
+        fast = make_params("fbbm", 1.0, Coefficients(c_adv=1e200, c_nl=0.0))
         plan = StepPlan(g, fast, 1e200)  # the second stage's input overflows
         with pytest.raises(BlowUpError) as err:
             plan.step(coeffs_of(np.sin(g.x)), 1.25)
@@ -251,13 +258,14 @@ class TestStepPlan:
         assert np.abs(got - expected).max() < 1e-13
 
     @pytest.mark.parametrize(
-        "kind,kernel",
-        [("fch", rk4_step), ("fbbm", rk4_step), ("linearized", rk4_step),
-         ("fkdv", ifrk4_step)],
+        "kind,coefficients,kernel",
+        [("fch", None, rk4_step), ("fbbm", None, rk4_step), ("fbbm", LINEAR_FBBM, rk4_step),
+         ("fkdv", None, ifrk4_step)],
+        ids=["fch-rk4_step", "fbbm-rk4_step", "fbbm-c_nl=0-rk4_step", "fkdv-ifrk4_step"],
     )
-    def test_step_is_the_integrators_kernel(self, kind, kernel, rng):
+    def test_step_is_the_integrators_kernel(self, kind, coefficients, kernel, rng):
         g = make_grid(64)
-        plan = StepPlan(g, make_params(kind, 1.0), 1e-3)
+        plan = StepPlan(g, make_params(kind, 1.0, coefficients), 1e-3)
         u_hat = coeffs_of(smooth_field(g, rng, band=8, amplitude=0.5).values)
         assert np.array_equal(plan.step(u_hat, 0.0), kernel(plan, u_hat, 0.0))
 
@@ -434,7 +442,7 @@ class TestAutoDt:
 
     def test_all_rest_fallback(self):
         g = make_grid(64)
-        p = make_params("linearized", 1.0, Coefficients(c_adv=0.0, c_nl=0.0))
+        p = make_params("fbbm", 1.0, Coefficients(c_adv=0.0, c_nl=0.0))
         dt = auto_dt(RealField.zeros(g), p, cfl=0.25)
         assert dt == pytest.approx(0.25 * g.spacing)
 
@@ -497,6 +505,13 @@ class TestBreakingDetector:
         assert report is not None
         assert report.estimated_breaking_time == pytest.approx(t_star, abs=0.05)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("spacing", [1e-300, 5e-324])
+    def test_breaking_time_fit_of_indistinct_times_is_none(self, spacing):
+        # the fit's sum of squared time offsets underflows to 0
+        history = [(i * spacing, -10.0 - i) for i in range(3)]
+        assert _fit_breaking_time(history, 1.0) is None
+
 
 class TestIntegrate:
     def test_t_end_zero_one_snapshot(self):
@@ -535,7 +550,7 @@ class TestIntegrate:
     def test_overflowing_update_is_blowup(self):
         # every coefficient is finite, but the grid values they sum to are not
         g = make_grid(64)
-        zero = make_params("linearized", 1.0, Coefficients(c_adv=0.0, c_nl=0.0))
+        zero = make_params("fbbm", 1.0, Coefficients(c_adv=0.0, c_nl=0.0))
         u_hat = np.full(33, 1e307, dtype=complex)
         start = SimulationState(t=0.5, u=RealField.zeros(g), u_hat=u_hat)
         seen = []
@@ -733,22 +748,23 @@ class TestSlopeFromStageOne:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=30, deadline=None)
     @given(
-        kind=st.sampled_from(["fch", "fbbm", "fkdv", "linearized"]),
+        model=st.sampled_from([("fch", None), ("fbbm", None), ("fkdv", None),
+                               ("fbbm", LINEAR_FBBM)]),
         amplitude=st.one_of(st.floats(0.0, 3.0), st.floats(1e150, 1e200)),
         phase=st.floats(0.0, 6.0),
         dealias=st.booleans(),
         threshold=st.floats(0.5, 20.0),
         on_breaking=st.sampled_from(["halt", "warn"]),
     )
-    def test_integrate_matches_a_hand_loop(self, kind, amplitude, phase, dealias, threshold,
+    def test_integrate_matches_a_hand_loop(self, model, amplitude, phase, dealias, threshold,
                                            on_breaking):
         g = make_grid(64)
         u0 = RealField(g, amplitude * np.sin(g.x + phase) + 0.05 * np.sin(12 * g.x))
         cfg = SolverConfig(t_end=0.2, dt=0.01, dealias=dealias,
                            breaking_slope_threshold=threshold, tail_fraction_threshold=1e-6,
                            on_breaking=on_breaking)
-        res = integrate(u0, make_params(kind, 1.0), cfg)
-        outcome, history, report = _hand_loop(u0, make_params(kind, 1.0), cfg)
+        res = integrate(u0, make_params(model[0], 1.0, model[1]), cfg)
+        outcome, history, report = _hand_loop(u0, make_params(model[0], 1.0, model[1]), cfg)
         assert res.outcome is outcome
         assert res.state.min_slope_history == history
         assert np.array(res.state.min_slope_history).tobytes() == np.array(history).tobytes()
