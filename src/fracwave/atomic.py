@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 
 @contextmanager
@@ -18,9 +18,10 @@ def open_atomic(path, mode: str = "wb"):
         with open(tmp, mode) as fh:
             yield fh
         os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
+    except BaseException:
+        with suppress(FileNotFoundError):
             os.unlink(tmp)
+        raise
 
 
 def write_atomic(path, data: bytes) -> None:

@@ -255,16 +255,18 @@ def auto_dt(u: RealField, model: ModelParams, cfl: float) -> float:
     """CFL-style step size: cfl * dx / v_max on the grid of ``u``.
 
     v_max combines the fastest linear phase speed on the grid with the
-    amplitude of u (nonlinear advection).  fKdV is stepped with the
-    integrating factor, so its exactly-handled linear symbol is excluded
-    and only advection remains.
+    nonlinear advection speed max(1, |c_nl|) * max|u|; the factor never
+    drops below 1, which leaves room for the c_mix terms it does not count.
+    fKdV is stepped with the integrating factor, so its exactly-handled
+    linear symbol is excluded and only advection remains.
     """
     grid = u.grid
     if _scheme(model) == "ifrk4":
         v_lin = abs(model.coefficients.c_adv)
     else:
         v_lin = float(np.abs(dispersion_speed(grid.k, model)).max())
-    v_max = max(v_lin, float(np.abs(u.values).max()))
+    c_nl = max(1.0, abs(model.coefficients.c_nl))
+    v_max = max(v_lin, c_nl * float(np.abs(u.values).max()))
     if v_max == 0.0:
         return cfl * grid.spacing
     return cfl * grid.spacing / v_max

@@ -94,6 +94,17 @@ class TestRun:
         assert len(lines) == 1 and "solver.integrator" in lines[0]
         assert not (tmp_path / "rk4").exists()
 
+    def test_strong_nonlinearity_gets_a_resolved_auto_dt(self, tmp_path):
+        # fKdV with c_nl = 10: an auto dt that counted max|u| alone (0.0123)
+        # ended as breaking at t = 0.46; |c_nl| max|u| gives 0.0041
+        cfg = base_config(tmp_path / "out",
+                          model={"kind": "fkdv", "nu": 1.0, "coefficients": {"c_nl": 10}},
+                          grid={"N": 256}, initial={"kind": "mode", "k": 1, "amplitude": 0.3},
+                          solver={"t_end": 1.0, "dt": "auto"})
+        assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        manifest = load_manifest(tmp_path / "out")
+        assert manifest["outcome"] == "completed" and manifest["steps"] == 245
+
     def test_phase_speed_equals_fit_on_reloaded_snapshots(self, tmp_path):
         cfg = base_config(
             tmp_path / "run",

@@ -1,6 +1,7 @@
 import builtins
 import json
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -18,6 +19,7 @@ from fracwave.config import (
     write_manifest,
     write_snapshot,
 )
+from fracwave.config import _fields, _text
 from fracwave.spectral import coeffs_of
 from fracwave.timestepper import SimulationState, checkpoint_write, resolve_dt
 from conftest import LINEAR_FBBM, TWO_PI, make_grid, smooth_field
@@ -402,11 +404,13 @@ class TestSnapshotIO:
         with pytest.raises(ConfigError):
             read_snapshot(path)
 
-    @pytest.mark.parametrize("n", [16, 4096, 2 * 4096 + 10])
+    @pytest.mark.parametrize("n", [16, 4096, 2 * 4096 + 10, 65536])
     def test_bytes_match_per_line_format(self, tmp_path, rng, n):
         g = make_grid(n)
         values = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
         values[:4] = [0.0, -0.0, 1e-300, -123456789.125]
+        # the second block holds only values the digit kernel leaves to Python
+        values[4096:8192] = rng.choice([1e-300, 1e300, -0.0, 5e-324], len(values[4096:8192]))
         u = RealField(g, values)
         expected = "x,u\n" + "".join(
             f"{xj:.17g},{uj:.17g}\n" for xj, uj in zip(u.grid.x, u.values)
@@ -456,6 +460,74 @@ class TestSnapshotIO:
         xs, us = read_snapshot(path)
         assert np.array_equal(us, u.values)
         assert np.array_equal(xs, g.x)
+
+
+def _kernel_rows(values) -> bytes:
+    return _text(_fields(np.asarray(values, dtype=float)))
+
+
+def _python_rows(values) -> bytes:
+    return "".join("%.17g\n" % v for v in np.asarray(values, dtype=float).tolist()).encode()
+
+
+def _from_bits(bits) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+def _digit_sweep(rng) -> np.ndarray:
+    """About 10**6 doubles: random ones across the kernel's range and the
+    rest of the doubles, the edges of its range and of each format, ties."""
+    u64 = np.uint64
+    n = 300_000
+    sign = rng.integers(0, 2, n, dtype=u64) << u64(63)
+    mantissa = rng.integers(0, 2**52, n, dtype=u64)
+    in_range = sign | (rng.integers(1023 - 38, 1023 + 51, n, dtype=u64) << u64(52)) | mantissa
+    subnormal = (sign | mantissa)[:50_000]
+    any_bits = rng.integers(0, 2**64, 100_000, dtype=u64)
+    ulps = [np.array([10.0**j for j in range(-12, 18)])]  # and 1-3 ulps either side
+    for _ in range(3):
+        ulps = [np.nextafter(ulps[0], 0.0)] + ulps + [np.nextafter(ulps[-1], np.inf)]
+    # ties: D + 1/2 at 17 digits is r / 2**(17 - X) for odd r with
+    # r * 5**(16 - X) in [2e16, 2e17); it is a double for X >= -8
+    ties = []
+    for x in range(-8, 15):
+        lo, hi = -(-2 * 10**16 // 5 ** (16 - x)), 2 * 10**17 // 5 ** (16 - x)
+        r = rng.integers(lo, hi, 6_000) | 1
+        ties.append(np.ldexp(r[r < hi].astype(float), x - 17))
+    ties = np.concatenate(ties)
+    # format switches: exponent form below 1e-4, and from 1e16 up
+    switches = []
+    for p in (1e-5, 1e-4, 1e16, 1e17):
+        steps = np.arange(-1000, 1001)
+        switches += [p + steps * np.spacing(p), rng.uniform(0.5 * p, 2 * p, 10_000)]
+    return np.concatenate([
+        in_range.view(np.float64), subnormal.view(np.float64), any_bits.view(np.float64),
+        [0.0, -0.0], *ulps, -np.concatenate(ulps),
+        ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf),
+        rng.integers(0, 2**53, 100_000, endpoint=True).astype(float),
+        rng.integers(1, 10**4, 60_000) * 10.0 ** rng.integers(0, 12, 60_000),
+        np.ldexp(rng.integers(1, 2**20, 100_000).astype(float), rng.integers(-40, 1, 100_000)),
+        *switches,
+    ])
+
+
+class TestSnapshotDigits:
+    """The snapshot kernel writes Python's '%.17g' bytes for every double."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats() | st.integers(0, 2**64 - 1).map(_from_bits),
+                    min_size=1, max_size=64))
+    def test_rows_match_python(self, values):
+        assert _kernel_rows(values) == _python_rows(values)
+
+    def test_seeded_sweep_matches_python(self):
+        values = _digit_sweep(np.random.default_rng(20240611))
+        assert len(values) > 10**6
+        for start in range(0, len(values), 65536):
+            chunk = values[start:start + 65536]
+            got, want = _kernel_rows(chunk).split(b"\n"), _python_rows(chunk).split(b"\n")
+            bad = [(v, g, w) for v, g, w in zip(chunk.tolist(), got, want) if g != w]
+            assert not bad, bad[:5]
 
 
 class _HalfWriter:

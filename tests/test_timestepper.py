@@ -13,6 +13,7 @@ from fracwave import (
     CheckpointError,
     Coefficients,
     ConfigError,
+    ModelKind,
     Outcome,
     ParameterError,
     RealField,
@@ -23,6 +24,7 @@ from fracwave import (
     checkpoint_read,
     checkpoint_write,
     dealias,
+    default_coefficients,
     derivative,
     detect_breaking,
     dispersion_speed,
@@ -394,6 +396,25 @@ class TestAutoDt:
         p = make_params("fch", 1.0)
         u = RealField(g, 10.0 * np.sin(g.x))
         assert auto_dt(u, p, cfl=0.5) == pytest.approx(0.5 * g.spacing / 10.0)
+
+    @pytest.mark.parametrize("kind", ["fch", "fkdv", "fbbm"])
+    @pytest.mark.parametrize("c_nl", [0.0, 0.5, 1.0, -1.0])
+    def test_weak_nonlinearity_keeps_the_advective_bound(self, kind, c_nl):
+        # the factor max(1, |c_nl|) leaves every |c_nl| <= 1 at max|u|
+        g = make_grid(64)
+        p = make_params(kind, 1.0, replace(default_coefficients(ModelKind(kind)), c_nl=c_nl))
+        u = RealField(g, 10.0 * np.sin(g.x))
+        v_lin = abs(p.coefficients.c_adv) if kind == "fkdv" else np.abs(
+            dispersion_speed(g.k, p)).max()
+        assert auto_dt(u, p, cfl=0.5) == 0.5 * g.spacing / max(v_lin, 10.0)
+
+    @pytest.mark.parametrize("c_nl", [10.0, -3.0])
+    def test_strong_nonlinearity_scales_the_advective_bound(self, c_nl):
+        g = make_grid(64)
+        p = make_params("fkdv", 1.0, Coefficients(c_disp=-0.5, c_nl=c_nl))
+        u = RealField(g, 0.8 * np.sin(g.x))
+        umax = float(np.abs(u.values).max())  # |c_nl| umax passes c_adv = 1
+        assert auto_dt(u, p, cfl=0.5) == 0.5 * g.spacing / (abs(c_nl) * umax)
 
     def test_ifrk4_excludes_dispersion(self):
         g = make_grid(64)
